@@ -61,7 +61,6 @@ rt::RuntimeConfig runtime_config(u32 workers) {
   cfg.shard.policy = PlacementPolicy::kFirstFit;
   cfg.shard.backend = PlacerBackend::kFast;
   cfg.shard.queue_depth = 256;
-  cfg.shard.wait_capacity = 0;  // pure loss system: kServed/kRejected only
   cfg.shard.seed = kSeed;
   return cfg;
 }

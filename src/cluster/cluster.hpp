@@ -22,11 +22,13 @@
 //              are closed and the provisional mesh released — audited zero
 //              residue.
 //
-// The PR 9 two-round reserve-then-commit protocol (legs first, mesh at
-// commit time) is retained verbatim as admit_span_reference — the oracle
-// the optimistic path is equivalence-tested against. The two differ only
-// in the *cause* reported when both a trunk pair and a leg would refuse
-// (the optimistic claim sees the trunk first) — never in accept/refuse.
+// The earlier two-round reserve-then-commit protocol (legs first, mesh at
+// commit time) is kept as admit_span_reference — the oracle the optimistic
+// path is equivalence-tested against. It shares the leg burst and the
+// rollback with open() and differs only in when the mesh is claimed; so
+// the two differ only in the *cause* reported when both a trunk pair and a
+// leg would refuse (the optimistic claim sees the trunk first) — never in
+// accept/refuse.
 //
 // Delivery model: each leg's local fan-in combines its member signals; the
 // relay port exports the combined signal onto the trunk mesh and injects
@@ -125,8 +127,8 @@ class Cluster {
   /// optimistic claim.
   [[nodiscard]] OpenReport open(const std::vector<LegSpec>& legs);
 
-  /// Reference spanning admission: the PR 9 two-round reserve-then-commit
-  /// protocol (sequential leg round, then the trunk mesh at commit time),
+  /// Reference spanning admission: the two-round reserve-then-commit
+  /// protocol (leg round first, then the trunk mesh at commit time),
   /// kept as the equivalence oracle and latency baseline for the
   /// optimistic one-round path. Accept/refuse verdicts match open() on
   /// identical cluster state; only the reported blocking *cause* may
@@ -214,12 +216,6 @@ class Cluster {
  private:
   friend void audit::check_cluster(const ::confnet::cluster::Cluster&);
 
-  /// Await a future'd command, tolerating a stopped runtime.
-  static runtime::CommandResult await(
-      std::future<runtime::CommandResult>&& f) {
-    return f.get();
-  }
-
   [[nodiscard]] OpenReport open_intra(const LegSpec& leg);
   [[nodiscard]] OpenReport open_span(const std::vector<LegSpec>& legs);
 
@@ -227,16 +223,29 @@ class Cluster {
   [[nodiscard]] std::vector<LegSpec> validated_span(
       const std::vector<LegSpec>& legs) const;
 
-  /// Close one leg session on its shard (rollback/teardown path).
-  void close_leg(const Leg& leg);
+  /// Open every leg (members + the trunk relay termination port) in one
+  /// staged burst. Fills `granted` with the legs the shards admitted;
+  /// returns false when any leg was refused, with `blocked_shard` naming
+  /// the first refusing shard in shard order.
+  [[nodiscard]] bool open_legs(const std::vector<LegSpec>& sorted,
+                               std::vector<Leg>& granted, u32& blocked_shard);
+
+  /// Refuse a spanning open whose leg round failed: roll the granted legs
+  /// back and count a kBlockedLocal verdict. The caller has already
+  /// released any trunk mesh it claimed.
+  [[nodiscard]] OpenReport refuse_span(const std::vector<Leg>& granted,
+                                       u32 blocked_shard);
+
+  /// Make fully granted legs (mesh held) a live spanning conference.
+  [[nodiscard]] OpenReport commit_span(std::vector<Leg>&& legs);
 
   /// Close several legs in one staged burst (skipping `skip_shard`'s leg,
   /// whose session is already gone; pass shard >= K to close all).
   void close_legs(const std::vector<Leg>& legs, u32 skip_shard);
 
   /// Tear down a live conference (faults): close surviving legs, release
-  /// the trunk mesh, erase it. `dead_shard`/`dead_session` name a leg whose
-  /// shard session is already gone (skip its close); pass shard >= K for
+  /// the trunk mesh, erase it. `dead_shard` names the shard whose leg
+  /// session is already gone (its close is skipped); pass shard >= K for
   /// none.
   void tear_down(u64 id, u32 dead_shard);
 

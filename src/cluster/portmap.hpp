@@ -2,10 +2,10 @@
 //
 // The cluster's global port space is the concatenation of K shard-local
 // spaces of N = 2^stages ports each: global port g lives on shard g / N at
-// local row g % N. The mapping matches runtime::Runtime::submit_by_port, so
-// a front end can route by global port without consulting the cluster, and
-// it is stable for the life of the cluster (conference placement never
-// migrates a port between shards).
+// local row g % N. This is the one port→shard rule: the runtime below is
+// addressed by shard index only. The mapping is stable for the life of the
+// cluster (conference placement never migrates a port between shards), and
+// a port outside the K * N space is rejected, never wrapped.
 //
 // Thread-safety: immutable after construction — safe to read from any
 // thread without synchronization.

@@ -2,19 +2,23 @@
 //
 // Producers (API front ends, load generators, tests) talk to a shard's
 // worker thread exclusively through `runtime::Command` values pushed onto
-// the shard's bounded MPSC queue; the worker answers through the command's
-// completion callback, invoked with a `runtime::CommandResult` on the
-// worker thread after the command has been applied. No shard state is ever
-// touched from a producer thread.
+// the shard's bounded MPSC queue; the worker answers by fulfilling the
+// command's pooled `ResultSlot` with a `runtime::CommandResult` after the
+// command has been applied. No shard state is ever touched from a producer
+// thread.
+//
+// Shards run loss-mode admission (the paper's switch: a request is realized
+// now or refused), so an open is answered kServed or kRejected — never
+// parked — and a link-fault victim is repacked in place or dropped inside
+// the fail command itself.
 //
 // Thread-safety contract: Command and CommandResult are plain value types —
 // thread-compatible, externally synchronized by the queue that carries them
 // (a command is owned by the producer until try_push accepts it, then by
-// the owning worker until the completion callback returns).
+// the owning worker until it fulfills the slot).
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <optional>
 #include <vector>
 
@@ -33,9 +37,8 @@ enum class CommandKind : std::uint8_t {
   kOpen,       // admit one conference of `size` members
   kOpenBatch,  // admit a burst of conferences in one open_batch pass
   kClose,      // close the open session `session`
-  kReplace,    // close `session`, then admit a fresh `size`-member one
-  kFailLink,   // fail interstage link (level, row); triggers recovery
-  kRepairLink, // repair interstage link (level, row); drains waiters
+  kFailLink,   // fail interstage link (level, row); repacks victims
+  kRepairLink, // repair interstage link (level, row)
 };
 
 [[nodiscard]] constexpr const char* command_name(CommandKind k) noexcept {
@@ -43,7 +46,6 @@ enum class CommandKind : std::uint8_t {
     case CommandKind::kOpen: return "open";
     case CommandKind::kOpenBatch: return "open_batch";
     case CommandKind::kClose: return "close";
-    case CommandKind::kReplace: return "replace";
     case CommandKind::kFailLink: return "fail_link";
     case CommandKind::kRepairLink: return "repair_link";
   }
@@ -65,14 +67,13 @@ enum class CommandStatus : std::uint8_t {
   kRejectedStopped,  // never applied: the runtime stopped first
 };
 
-/// Admission verdict of one open (or the open half of a replace).
+/// Admission verdict of one open: kServed or kRejected (loss mode).
 struct OpenOutcome {
   conf::RequestOutcome outcome = conf::RequestOutcome::kRejected;
   std::optional<u32> session;  // set on kServed
-  std::optional<conf::WaitQueueManager::Ticket> ticket;  // set on kQueued
 };
 
-/// What the owner thread reports back through the completion callback.
+/// What the owner thread reports back through the command's slot.
 struct CommandResult {
   CommandKind kind = CommandKind::kOpen;
   CommandStatus status = CommandStatus::kRejectedStopped;
@@ -81,23 +82,20 @@ struct CommandResult {
   /// processed before it on this shard). Deterministic — never wall clock.
   u64 applied_at = 0;
 
-  OpenOutcome open;                 // kOpen / kReplace
+  OpenOutcome open;                 // kOpen
   std::vector<OpenOutcome> batch;   // kOpenBatch, input order
-  bool ok = false;                  // kClose/kReplace: session existed;
+  bool ok = false;                  // kClose: session existed;
                                     // kFailLink/kRepairLink: state changed
-  /// Waiters admitted as a side effect of this command (a close/replace
-  /// freeing capacity, a repair restoring it).
-  std::vector<conf::WaitQueueManager::ServedTicket> served;
-  u32 torn_down = 0;        // kFailLink: sessions interrupted
-  u32 recovered = 0;        // kFailLink/kRepairLink: sessions restored
-  u32 pending_retries = 0;  // kFailLink: victims on the backoff path
+  u32 torn_down = 0;  // kFailLink: sessions interrupted
+  u32 recovered = 0;  // kFailLink: victims repacked in place
   /// kFailLink: victim session ids (already closed by the shard). A front
   /// end tracking sessions by id (e.g. the cluster layer, whose spanning
   /// legs are shard sessions) folds these into its own bookkeeping.
   std::vector<u32> torn_sessions;
-  /// kFailLink/kRepairLink: victims restored under a fresh session id,
-  /// as (origin, replacement) pairs. The origin id is dead; the caller
-  /// rehomes its records onto the replacement.
+  /// kFailLink: victims repacked under a fresh session id, as (origin,
+  /// replacement) pairs. The origin id is dead; the caller rehomes its
+  /// records onto the replacement. A victim in torn_sessions without a
+  /// pair here was dropped.
   std::vector<std::pair<u32, u32>> relocated;
 };
 
@@ -105,21 +103,18 @@ struct CommandResult {
 /// (see CommandKind); unused fields are ignored.
 struct Command {
   CommandKind kind = CommandKind::kOpen;
-  u32 size = 0;                  // kOpen / kReplace
-  u32 session = 0;               // kClose / kReplace
+  u32 size = 0;                  // kOpen
+  u32 session = 0;               // kClose
   u32 level = 0;                 // kFailLink / kRepairLink
   u32 row = 0;                   // kFailLink / kRepairLink
   std::vector<u32> batch_sizes;  // kOpenBatch
-  /// Optional completion, invoked exactly once: on the owner thread after
-  /// the command is applied, or inline on the submitting thread with
-  /// kRejectedStopped when the runtime refuses it. Never invoked for
-  /// kQueueFull (the command never left the caller).
-  std::function<void(CommandResult&&)> done;
-  /// Optional pooled completion (Runtime::call_pooled): fulfilled exactly
-  /// once under the same protocol as `done`. Mutually exclusive with
-  /// `done` — a command carries at most one completion channel. The slot
-  /// is owned by the Runtime's ResultPool; the producer holds the matching
-  /// PooledResult, which keeps the slot alive until fulfilled.
+  /// Optional completion (Runtime::call_pooled / stage_call), fulfilled
+  /// exactly once: on the owner thread after the command is applied, or
+  /// inline on the submitting thread with kRejectedStopped when the
+  /// runtime refuses it. Never fulfilled for kQueueFull (the command never
+  /// left the caller). The slot belongs to a ResultPool; the producer
+  /// holds the matching PooledResult, which keeps it alive until
+  /// fulfilled. A command without a slot is fire-and-forget.
   ResultSlot* slot = nullptr;
 };
 

@@ -1,10 +1,11 @@
-// Slot-recycled arena for command completions (`runtime::ResultPool`).
+// Slot-recycled arena for command completions (`runtime::ResultPool`) —
+// the runtime's one completion channel.
 //
-// Runtime::call() allocates a shared promise/future pair per command —
-// three heap allocations on the hottest producer path. The pool replaces
-// that with fixed completion slots: a producer acquires a slot, hangs it
-// on the command (`Command::slot`), the owner thread fulfills it in place,
-// and `PooledResult::take()` hands the result back and recycles the slot.
+// A producer acquires a slot, hangs it on the command (`Command::slot`),
+// the owner thread fulfills it in place, and `PooledResult::take()` hands
+// the result back and recycles the slot. Every round trip sits on the
+// producer's critical path, so completions must not allocate: a per-call
+// callback or promise/future pair would cost heap allocations per command.
 // Steady-state churn allocates nothing — the pool grows only while the
 // free list is empty (cold), and every vector involved recycles capacity
 // (the `hot-alloc` static check covers acquire/release/fulfill).
@@ -55,6 +56,12 @@ class ResultSlot {
       ready_ = true;
     }
     cv_.notify_one();
+  }
+
+  /// Non-blocking peek: true once fulfilled. Either side may ask.
+  [[nodiscard]] bool ready() {
+    util::MutexLock lock(mu_);
+    return ready_;
   }
 
   /// Producer side: block until fulfilled, move the result out. The slot

@@ -7,8 +7,7 @@
 namespace confnet::runtime {
 
 Runtime::Runtime(const RuntimeConfig& config)
-    : workers_n_(config.workers),
-      ports_(u32{1} << config.shard.stages) {
+    : workers_n_(config.workers) {
   expects(config.shards > 0, "Runtime needs at least one shard");
   expects(config.workers > 0, "Runtime needs at least one worker");
   expects(config.workers <= config.shards,
@@ -51,7 +50,7 @@ void Runtime::stop() {
     }
     w->cv.notify_one();
   }
-  // (3)+(4) Workers drain, flush retries, publish, exit; we join.
+  // (3)+(4) Workers drain, publish, exit; we join.
   for (auto& w : workers_)
     if (w->thread.joinable()) w->thread.join();
 }
@@ -78,28 +77,7 @@ SubmitStatus Runtime::submit_to_blocking(u32 shard, Command&& cmd) {
   return st;
 }
 
-SubmitStatus Runtime::submit_by_port(u32 port, Command&& cmd) {
-  return submit_to(shard_of_port(port), std::move(cmd));
-}
-
-std::future<CommandResult> Runtime::call(u32 shard, Command&& cmd) {
-  auto promise = std::make_shared<std::promise<CommandResult>>();
-  std::future<CommandResult> fut = promise->get_future();
-  auto prev = std::move(cmd.done);
-  cmd.done = [promise, prev = std::move(prev)](CommandResult&& result) {
-    if (prev) {
-      CommandResult copy = result;
-      prev(std::move(copy));
-    }
-    promise->set_value(std::move(result));
-  };
-  submit_to_blocking(shard, std::move(cmd));
-  return fut;
-}
-
 PooledResult Runtime::call_pooled(u32 shard, Command&& cmd) {
-  expects(!cmd.done, "call_pooled: a command carries one completion "
-                     "channel; done and slot are mutually exclusive");
   ResultSlot* slot = pool_.acquire();
   cmd.slot = slot;
   // A refused submit fulfills the slot inline (kRejectedStopped), so the
@@ -110,8 +88,6 @@ PooledResult Runtime::call_pooled(u32 shard, Command&& cmd) {
 
 PooledResult Runtime::stage_call(CommandStage& stage, u32 shard,
                                  Command&& cmd) {
-  expects(!cmd.done, "stage_call: a command carries one completion "
-                     "channel; done and slot are mutually exclusive");
   ResultSlot* slot = pool_.acquire();
   cmd.slot = slot;
   stage.add(shard, std::move(cmd));
@@ -199,9 +175,8 @@ void Runtime::worker_loop(u32 w) {
     }
     if (!stopping) continue;
     // Queues were closed before the stop flag was set, so one more drain
-    // sees everything that was ever accepted; then retries terminate.
+    // sees everything that was ever accepted.
     for (u32 s : me.shard_ids) shards_[s]->process_available();
-    for (u32 s : me.shard_ids) shards_[s]->flush_retries();
     return;
   }
 }

@@ -1,29 +1,31 @@
 // Front object of the concurrent admission runtime.
 //
-// A Runtime owns S shards (each a complete fabric + admission + recovery
-// control plane, see shard.hpp) and W worker threads; shard i is owned by
-// worker i % W, so every shard has exactly one owner thread for its whole
-// life and varying W changes only how shards are packed onto threads —
-// never per-shard outcomes. Producers route commands to a shard directly
-// (submit_to) or by global port (submit_by_port: shard = port / N, where N
-// is the per-shard port count), and get results through completion
-// callbacks or the future-returning call() convenience.
+// A Runtime owns S loss-mode shards (each a complete fabric + admission +
+// recovery control plane, see shard.hpp) and W worker threads; shard i is
+// owned by worker i % W, so every shard has exactly one owner thread for
+// its whole life and varying W changes only how shards are packed onto
+// threads — never per-shard outcomes. Producers name the target shard
+// explicitly (which shard a global port lives on is cluster::PortMap's
+// business, not the runtime's) and get results through one completion
+// channel: a pooled ResultSlot, hung on the command by call_pooled or
+// stage_call. A command submitted without a slot is fire-and-forget.
 //
-// Thread-safety contract: submit/call/snapshot/drain are thread-safe after
-// start(); the lifecycle methods (start/stop) and post-stop accessors
-// (dump_trace_jsonl, shard peeks) are externally synchronized — they must
-// be called by one controlling thread, with stop() strictly after start().
+// Thread-safety contract: submit/call_pooled/stage_call/submit_stage/
+// snapshot/drain are thread-safe after start() (a CommandStage itself is
+// owned by one producer); the lifecycle methods (start/stop) and post-stop
+// accessors (dump_trace_jsonl, shard peeks) are externally synchronized —
+// they must be called by one controlling thread, with stop() strictly
+// after start().
 //
 // Shutdown ordering (stop): (1) close every command queue — new submits are
 // answered inline with kRejectedStopped, nothing is silently dropped;
 // (2) set each worker's stop flag and wake it; (3) each worker drains what
-// its queues already accepted, runs pending recovery retries to a terminal
-// state (flush_retries), publishes final stats, and exits; (4) join.
+// its queues already accepted, publishes final stats, and exits; (4) join.
+// Loss-mode shards schedule no retries, so nothing outlives the drain.
 #pragma once
 
 #include <atomic>
 #include <cstddef>
-#include <future>
 #include <memory>
 #include <ostream>
 #include <thread>
@@ -83,9 +85,9 @@ class Runtime {
   /// submit; commands submitted before start() would sit unprocessed.
   void start();
 
-  /// Close queues, drain accepted commands, flush recovery retries, join
-  /// the workers. Idempotent. After stop(), submits are rejected inline
-  /// with kRejectedStopped (never lost: the completion still runs).
+  /// Close queues, drain accepted commands, join the workers. Idempotent.
+  /// After stop(), submits are rejected inline with kRejectedStopped
+  /// (never lost: a slot on the command is still fulfilled).
   void stop();
 
   /// Block until every command accepted so far has been applied and its
@@ -99,16 +101,6 @@ class Runtime {
 
   /// Same, but blocks instead of returning kQueueFull.
   SubmitStatus submit_to_blocking(u32 shard, Command&& cmd);
-
-  /// Route by global port: shard = port / ports_per_shard().
-  SubmitStatus submit_by_port(u32 port, Command&& cmd);
-
-  /// Future-returning convenience: installs a completion that fulfills the
-  /// returned future, then submits (blocking on a full queue). The future
-  /// always becomes ready — with kRejectedStopped when the runtime refused
-  /// the command. Allocates a shared promise per call; the hot producer
-  /// path is call_pooled below.
-  std::future<CommandResult> call(u32 shard, Command&& cmd);
 
   /// Allocation-free call: hangs a recycled ResultPool slot on the command
   /// and submits (blocking on a full queue). The returned handle always
@@ -164,13 +156,6 @@ class Runtime {
     return static_cast<u32>(shards_.size());
   }
   [[nodiscard]] u32 worker_count() const noexcept { return workers_n_; }
-  [[nodiscard]] u32 ports_per_shard() const noexcept { return ports_; }
-  [[nodiscard]] u32 total_ports() const noexcept {
-    return ports_ * shard_count();
-  }
-  [[nodiscard]] u32 shard_of_port(u32 port) const noexcept {
-    return (port / ports_) % shard_count();
-  }
   [[nodiscard]] bool started() const noexcept { return started_; }
   [[nodiscard]] bool stopped() const noexcept { return stopped_; }
 
@@ -205,7 +190,6 @@ class Runtime {
   }
 
   const u32 workers_n_;  // runtime-owner: immutable
-  const u32 ports_;      // runtime-owner: immutable
   std::vector<std::unique_ptr<Shard>> shards_;    // runtime-owner: immutable
   std::vector<std::unique_ptr<Worker>> workers_;  // runtime-owner: immutable
   ResultPool pool_;       // runtime-owner: queue

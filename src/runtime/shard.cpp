@@ -4,6 +4,7 @@
 #include <utility>
 
 #include "runtime/result_pool.hpp"
+#include "util/error.hpp"
 #include "util/trace.hpp"
 
 namespace confnet::runtime {
@@ -17,7 +18,6 @@ constexpr std::size_t kMaxBurst = 64;
 
 Shard::Shard(u32 index, const ShardConfig& config)
     : index_(index),
-      config_(config),
       network_(config.kind, config.stages,
                conf::DilationProfile::uniform(config.stages, config.dilation)),
       wait_(network_, config.policy, config.wait_capacity, config.wait_bypass,
@@ -26,6 +26,9 @@ Shard::Shard(u32 index, const ShardConfig& config)
       rng_(config.seed + index),
       trace_(config.trace_capacity),
       queue_(config.queue_depth) {
+  expects(config.wait_capacity == 0 && !config.wait_bypass &&
+              config.recovery.max_retries == 0,
+          "a runtime shard is loss-mode: no hold queue, no retry budget");
   burst_.reserve(kMaxBurst);
   publish();  // expose a consistent (all-zero) snapshot before any command
 }
@@ -57,15 +60,12 @@ SubmitStatus Shard::submit_blocking(Command&& cmd) {
 
 void Shard::reject_inline(Command& cmd) {
   rejected_stopped_.fetch_add(1, std::memory_order_relaxed);
-  if (cmd.slot == nullptr && !cmd.done) return;
+  if (cmd.slot == nullptr) return;
   CommandResult result;
   result.kind = cmd.kind;
   result.status = CommandStatus::kRejectedStopped;
   result.shard = index_;
-  if (cmd.slot != nullptr)
-    cmd.slot->fulfill(std::move(result));
-  else
-    cmd.done(std::move(result));
+  cmd.slot->fulfill(std::move(result));
 }
 
 std::size_t Shard::process_available() {
@@ -89,91 +89,11 @@ void Shard::serve_open(OpenOutcome& out,
                        const conf::WaitQueueManager::RequestResult& r) {
   out.outcome = r.outcome;
   out.session = r.session;
-  out.ticket = r.ticket;
   ++stats_.opens;
-  switch (r.outcome) {
-    case conf::RequestOutcome::kServed:
-      ++stats_.accepted;
-      break;
-    case conf::RequestOutcome::kQueued:
-      ++stats_.queued;
-      break;
-    case conf::RequestOutcome::kRejected:
-      ++stats_.rejected;
-      break;
-  }
-}
-
-void Shard::absorb_served(
-    CommandResult& result,
-    std::vector<conf::WaitQueueManager::ServedTicket> served) {
-  if (served.empty()) return;
-  stats_.served_after_wait += served.size();
-  const auto recovered =
-      recovery_.absorb(served, static_cast<double>(now_));
-  stats_.recovered += recovered.size();
-  result.recovered += static_cast<u32>(recovered.size());
-  result.served.insert(result.served.end(), served.begin(), served.end());
-}
-
-void Shard::schedule_retries(
-    std::vector<conf::RecoveryCoordinator::PendingRetry> retries) {
-  for (auto& p : retries) {
-    const double due = static_cast<double>(now_) +
-                       config_.recovery.backoff_delay(p.attempt);
-    retries_.push_back(DueRetry{due, p});
-  }
-}
-
-void Shard::run_due_retries(CommandResult& result) {
-  // Logical time only advances with commands, so due retries are run right
-  // after the command that made them due; ordering within a batch of due
-  // retries is FIFO on schedule order (stable partition keeps it).
-  std::size_t i = 0;
-  while (i < retries_.size()) {
-    if (retries_[i].due > static_cast<double>(now_)) {
-      ++i;
-      continue;
-    }
-    const DueRetry due = retries_[i];
-    retries_.erase(retries_.begin() +
-                   static_cast<std::ptrdiff_t>(i));
-    ++stats_.retries_run;
-    const auto outcome =
-        recovery_.retry(due.pending, static_cast<double>(now_), rng_);
-    if (outcome.recovered) {
-      ++stats_.recovered;
-      ++result.recovered;
-    } else if (outcome.dropped) {
-      ++stats_.dropped;
-    } else if (outcome.again) {
-      schedule_retries({*outcome.again});
-    } else if (outcome.expired) {
-      ++stats_.expired;  // origin departed between retries
-    }
-  }
-}
-
-void Shard::flush_retries() {
-  // Shutdown: run every pending retry to a terminal state regardless of its
-  // backoff due time. The retry budget bounds the loop.
-  while (!retries_.empty()) {
-    const DueRetry due = retries_.front();
-    retries_.erase(retries_.begin());
-    ++stats_.retries_run;
-    const auto outcome =
-        recovery_.retry(due.pending, static_cast<double>(now_), rng_);
-    if (outcome.recovered) {
-      ++stats_.recovered;
-    } else if (outcome.dropped) {
-      ++stats_.dropped;
-    } else if (outcome.again) {
-      retries_.push_back(DueRetry{static_cast<double>(now_), *outcome.again});
-    } else if (outcome.expired) {
-      ++stats_.expired;
-    }
-  }
-  publish();
+  if (r.outcome == conf::RequestOutcome::kServed)
+    ++stats_.accepted;
+  else
+    ++stats_.rejected;
 }
 
 void Shard::apply(Command& cmd) {
@@ -196,32 +116,12 @@ void Shard::apply(Command& cmd) {
       break;
     }
     case CommandKind::kClose: {
+      // Nothing waits in loss mode, so the close admits no one.
       if (wait_.sessions().contains(cmd.session)) {
         result.ok = true;
         ++stats_.closes;
-        absorb_served(result, wait_.close(cmd.session, rng_));
-      } else {
-        // The session may be an interrupted one still on the recovery
-        // path; a close then cancels the pending recovery.
-        if (recovery_.on_origin_departed(cmd.session,
-                                         static_cast<double>(now_)))
-          ++stats_.expired;
+        (void)wait_.close(cmd.session, rng_);
       }
-      break;
-    }
-    case CommandKind::kReplace: {
-      // Close-then-open composite. `ok` reports whether the close half
-      // found a live session; the open half always runs so churn keeps
-      // flowing even when a fault tore the old session down first.
-      if (wait_.sessions().contains(cmd.session)) {
-        result.ok = true;
-        absorb_served(result, wait_.close(cmd.session, rng_));
-      } else if (recovery_.on_origin_departed(cmd.session,
-                                               static_cast<double>(now_))) {
-        ++stats_.expired;
-      }
-      ++stats_.replaces;
-      serve_open(result.open, wait_.request(cmd.size, rng_));
       break;
     }
     case CommandKind::kFailLink: {
@@ -234,29 +134,20 @@ void Shard::apply(Command& cmd) {
       stats_.recovered += impact.recovered.size();
       result.torn_down = static_cast<u32>(impact.torn_down.size());
       result.recovered = static_cast<u32>(impact.recovered.size());
-      result.pending_retries = static_cast<u32>(impact.retries.size());
       result.torn_sessions = std::move(impact.torn_down);
       result.relocated.reserve(impact.recovered.size());
       for (const auto& r : impact.recovered)
         result.relocated.emplace_back(r.origin, r.session);
-      schedule_retries(std::move(impact.retries));
-      // Teardown may have freed room for regular waiters too.
-      absorb_served(result, wait_.drain(rng_));
       break;
     }
     case CommandKind::kRepairLink: {
+      // Nothing waits in loss mode, so a repair restores capacity and
+      // recovers no one.
       const bool was_faulty = network_.link_faulty(cmd.level, cmd.row);
-      auto impact = recovery_.repair_link(cmd.level, cmd.row,
-                                          static_cast<double>(now_), rng_);
+      (void)recovery_.repair_link(cmd.level, cmd.row,
+                                  static_cast<double>(now_), rng_);
       result.ok = was_faulty;
       if (result.ok) ++stats_.link_repairs;
-      stats_.served_after_wait += impact.served.size();
-      stats_.recovered += impact.recovered.size();
-      result.recovered = static_cast<u32>(impact.recovered.size());
-      result.relocated.reserve(impact.recovered.size());
-      for (const auto& r : impact.recovered)
-        result.relocated.emplace_back(r.origin, r.session);
-      result.served = std::move(impact.served);
       break;
     }
   }
@@ -264,7 +155,6 @@ void Shard::apply(Command& cmd) {
   ++now_;
   ++stats_.commands;
   stats_.logical_time = now_;
-  run_due_retries(result);
   ++stats_.completed;
   stats_.active_sessions = wait_.sessions().active_sessions();
   if (trace_.enabled()) {
@@ -275,10 +165,7 @@ void Shard::apply(Command& cmd) {
   // Tracer::record is thread-safe, so concurrent shards may interleave).
   obs::trace_emit("runtime", command_name(cmd.kind),
                   static_cast<double>(stats_.active_sessions));
-  if (cmd.slot != nullptr)
-    cmd.slot->fulfill(std::move(result));
-  else if (cmd.done)
-    cmd.done(std::move(result));
+  if (cmd.slot != nullptr) cmd.slot->fulfill(std::move(result));
 }
 
 void Shard::publish() {

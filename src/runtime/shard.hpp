@@ -1,6 +1,13 @@
-// One shard of the concurrent admission runtime: a complete control plane
-// (fabric + SessionManager + placer + WaitQueueManager + RecoveryCoordinator)
-// plus the bounded MPSC command queue that feeds it.
+// One shard of the concurrent admission runtime: a complete loss-mode
+// control plane (fabric + SessionManager + placer + WaitQueueManager +
+// RecoveryCoordinator) plus the bounded MPSC command queue that feeds it.
+//
+// Loss mode is the paper's contract: every open is realized now or
+// refused. The WaitQueueManager runs with zero hold slots and the
+// RecoveryCoordinator with a zero retry budget, so nothing ever waits and
+// no retry is ever scheduled; the coordinator is kept for its in-place
+// repack of link-fault victims (a victim comes back under a fresh session
+// id inside the fail command, or is dropped there).
 //
 // Thread-safety contract: thread-confined to owner. Every mutable control
 // plane member is touched by exactly one worker thread (the shard's owner);
@@ -35,6 +42,8 @@
 namespace confnet::runtime {
 
 /// Per-shard construction knobs (shared by every shard of a Runtime).
+/// `wait_capacity`, `wait_bypass` and `recovery` admit only their loss-mode
+/// defaults; the Shard constructor rejects any other value.
 struct ShardConfig {
   u32 stages = 6;  // fabric size: N = 2^stages ports per shard
   min::Kind kind = min::Kind::kIndirectCube;
@@ -42,9 +51,9 @@ struct ShardConfig {
   conf::PlacementPolicy policy = conf::PlacementPolicy::kFirstFit;
   conf::PlacerBackend backend = conf::PlacerBackend::kFast;
   std::size_t queue_depth = 256;    // command queue bound (backpressure)
-  std::size_t wait_capacity = 16;   // hold queue slots (0 = loss system)
-  bool wait_bypass = false;         // smaller waiters may bypass the head
-  conf::RecoveryPolicy recovery{};  // retry/backoff knobs
+  std::size_t wait_capacity = 0;    // hold queue slots: loss mode only
+  bool wait_bypass = false;         // loss mode only
+  conf::RecoveryPolicy recovery{.max_retries = 0};  // no retry budget
   std::size_t trace_capacity = 0;   // per-shard trace ring (0 = disabled)
   u64 seed = 1;                     // base seed; shard i uses seed + i
 };
@@ -86,11 +95,6 @@ class Shard {
   /// applied. Publishes stats at each burst boundary. Owner thread only.
   std::size_t process_available();
 
-  /// Run every still-pending recovery retry to its terminal state
-  /// (recovered or dropped), ignoring backoff due times. Called by the
-  /// owner once the queue is closed and empty. Owner thread only.
-  void flush_retries();
-
   // --- snapshot side: any thread ------------------------------------------
 
   /// Last published stats (a burst-boundary copy; always consistent()).
@@ -119,25 +123,13 @@ class Shard {
 
  private:
   void apply(Command& cmd) CONFNET_EXCLUDES(pub_mu_);
-  /// Answer a refused command inline with kRejectedStopped through
-  /// whichever completion channel it carries (slot or done).
+  /// Answer a refused command inline with kRejectedStopped through its
+  /// slot, if it carries one.
   void reject_inline(Command& cmd);
-  void run_due_retries(CommandResult& result);
   void publish() CONFNET_EXCLUDES(pub_mu_);
   void serve_open(OpenOutcome& out, const conf::WaitQueueManager::RequestResult& r);
-  void absorb_served(CommandResult& result,
-                     std::vector<conf::WaitQueueManager::ServedTicket> served);
-  void schedule_retries(
-      std::vector<conf::RecoveryCoordinator::PendingRetry> retries);
 
-  /// One scheduled backoff retry, due at logical time `due`.
-  struct DueRetry {
-    double due;
-    conf::RecoveryCoordinator::PendingRetry pending;
-  };
-
-  const u32 index_;           // runtime-owner: immutable
-  const ShardConfig config_;  // runtime-owner: immutable
+  const u32 index_;  // runtime-owner: immutable
 
   // Control plane: one fabric and its admission/recovery stack.
   conf::DirectConferenceNetwork network_;  // runtime-owner: worker
@@ -145,7 +137,6 @@ class Shard {
   conf::RecoveryCoordinator recovery_;     // runtime-owner: worker
   util::Rng rng_;                          // runtime-owner: worker
   u64 now_ = 0;                            // runtime-owner: worker
-  std::vector<DueRetry> retries_;          // runtime-owner: worker
   ShardStats stats_;                       // runtime-owner: worker
   ShardTrace trace_;                       // runtime-owner: worker
   std::vector<Command> burst_;             // runtime-owner: worker

@@ -12,16 +12,12 @@ void ShardStats::merge(const ShardStats& other) noexcept {
   commands += other.commands;
   opens += other.opens;
   accepted += other.accepted;
-  queued += other.queued;
   rejected += other.rejected;
   closes += other.closes;
-  replaces += other.replaces;
-  served_after_wait += other.served_after_wait;
   link_failures += other.link_failures;
   link_repairs += other.link_repairs;
   torn_down += other.torn_down;
   recovered += other.recovered;
-  retries_run += other.retries_run;
   dropped += other.dropped;
   expired += other.expired;
   rejected_stopped += other.rejected_stopped;
@@ -65,7 +61,6 @@ void publish_to_registry(const RuntimeSnapshot& snap) {
   reg.gauge("runtime", "opens").set(static_cast<double>(snap.total.opens));
   reg.gauge("runtime", "accepted")
       .set(static_cast<double>(snap.total.accepted));
-  reg.gauge("runtime", "queued").set(static_cast<double>(snap.total.queued));
   reg.gauge("runtime", "rejected")
       .set(static_cast<double>(snap.total.rejected));
   reg.gauge("runtime", "closes").set(static_cast<double>(snap.total.closes));

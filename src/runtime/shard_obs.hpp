@@ -35,20 +35,19 @@ namespace confnet::runtime {
 /// published at burst boundaries. All fields count since start().
 struct ShardStats {
   u64 commands = 0;        // commands applied (sum of the per-kind counts)
-  u64 opens = 0;           // kOpen commands + open_batch elements + replaces
-  u64 accepted = 0;        // opens admitted immediately
-  u64 queued = 0;          // opens parked in the hold queue
-  u64 rejected = 0;        // opens bounced (hold queue full / loss system)
+  u64 opens = 0;           // kOpen commands + open_batch elements
+  u64 accepted = 0;        // opens admitted
+  u64 rejected = 0;        // opens refused (loss mode)
   u64 closes = 0;          // kClose commands that closed a live session
-  u64 replaces = 0;        // kReplace commands applied
-  u64 served_after_wait = 0;  // hold-queue waiters admitted by any command
   u64 link_failures = 0;
   u64 link_repairs = 0;
   u64 torn_down = 0;       // sessions interrupted by fail_link
-  u64 recovered = 0;       // interrupted sessions restored (any path)
-  u64 retries_run = 0;     // backoff retries executed
-  u64 dropped = 0;         // interrupted sessions dropped (budget exhausted)
-  u64 expired = 0;         // pending recoveries cancelled (origin departed)
+  u64 recovered = 0;       // interrupted sessions repacked in place
+  // The two below stay 0 in loss mode: a victim the repack cannot place
+  // is dropped by the RecoveryCoordinator (recovery().stats().dropped),
+  // and nothing is ever pending. Kept so counters compare across layers.
+  u64 dropped = 0;
+  u64 expired = 0;
   u64 rejected_stopped = 0;  // commands refused because the shard stopped
   u64 submit_bounced = 0;  // try_push kQueueFull bounces (backpressure);
                            // a retried command adds one accept to
@@ -63,7 +62,7 @@ struct ShardStats {
   /// Burst-boundary identities every published snapshot satisfies.
   /// Returns false (never throws) so tests can assert on live snapshots.
   [[nodiscard]] bool consistent() const noexcept {
-    return opens == accepted + queued + rejected &&
+    return opens == accepted + rejected &&
            completed == commands && logical_time == commands &&
            max_burst <= completed &&
            recovered + dropped + expired <= torn_down;

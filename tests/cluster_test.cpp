@@ -13,13 +13,16 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <utility>
 #include <vector>
 
 #include "cluster/cluster.hpp"
 #include "cluster/portmap.hpp"
 #include "cluster/trunkbook.hpp"
 #include "sim/cluster_traffic.hpp"
+#include "runtime/command.hpp"
 #include "util/audit.hpp"
+#include "util/error.hpp"
 #include "util/rng.hpp"
 
 namespace {
@@ -58,6 +61,31 @@ TEST(PortMap, GlobalLocalRoundTrip) {
   EXPECT_EQ(map.shard_of(17), 1u);
   EXPECT_EQ(map.local_of(17), 1u);
   EXPECT_FALSE(map.contains(64));
+}
+
+TEST(PortMap, RoutesContiguousBlocksAndRejectsOutOfRange) {
+  // The cluster's port map is the one port->shard rule: global port g
+  // lives on shard g / N, and the runtime under it is addressed by that
+  // shard index. A port past the K * N space is rejected, never wrapped.
+  cl::Cluster c(small_config(4, 2));
+  const cl::PortMap& map = c.port_map();
+  EXPECT_EQ(map.ports_per_shard(), 16u);
+  EXPECT_EQ(map.total_ports(), 64u);
+  EXPECT_EQ(map.shard_of(0), 0u);
+  EXPECT_EQ(map.shard_of(15), 0u);
+  EXPECT_EQ(map.shard_of(16), 1u);
+  EXPECT_EQ(map.shard_of(63), 3u);
+  EXPECT_THROW((void)map.shard_of(64), confnet::Error);
+  EXPECT_THROW((void)map.local_of(64), confnet::Error);
+
+  c.start();
+  confnet::runtime::Command open;
+  open.kind = confnet::runtime::CommandKind::kOpen;
+  open.size = 2;
+  const auto result =
+      c.serving_runtime().call_pooled(map.shard_of(40), std::move(open)).take();
+  EXPECT_EQ(result.shard, 2u);
+  c.stop();
 }
 
 TEST(TrunkBook, PairIndexIsABijection) {

@@ -13,9 +13,11 @@
 #include <thread>
 #include <vector>
 
+#include "conference/recovery.hpp"
 #include "conference/waitqueue.hpp"
 #include "min/types.hpp"
 #include "runtime/command.hpp"
+#include "runtime/result_pool.hpp"
 #include "runtime/runtime.hpp"
 #include "util/rng.hpp"
 
@@ -32,14 +34,13 @@ rt::RuntimeConfig stress_config(u32 shards, u32 workers) {
   cfg.workers = workers;
   cfg.shard.stages = 4;
   cfg.shard.queue_depth = 128;
-  cfg.shard.wait_capacity = 8;
   cfg.shard.seed = 99;
   cfg.shard.trace_capacity = 64;
   return cfg;
 }
 
-// Many producers blasting opens/closes/replaces at every shard while the
-// runtime churns; every accepted command's completion must run exactly once.
+// Many producers blasting opens/batches/closes at every shard while the
+// runtime churns; every accepted command's slot must be fulfilled.
 TEST(RuntimeStress, CommandStormAcrossShards) {
   constexpr u32 kShards = 4;
   constexpr u32 kWorkers = 4;
@@ -49,12 +50,14 @@ TEST(RuntimeStress, CommandStormAcrossShards) {
   rt::Runtime r(stress_config(kShards, kWorkers));
   r.start();
 
-  std::atomic<u64> completions{0};
+  rt::ResultPool pool;
+  std::vector<std::vector<rt::ResultSlot*>> slots(kProducers);
   std::atomic<u64> accepted_submits{0};
   std::vector<std::thread> producers;
   producers.reserve(kProducers);
   for (int p = 0; p < kProducers; ++p) {
     producers.emplace_back([&, p] {
+      std::vector<rt::ResultSlot*>& mine = slots[static_cast<std::size_t>(p)];
       confnet::util::Rng rng(static_cast<u64>(p) + 1);
       for (int i = 0; i < kPerProducer; ++i) {
         rt::Command c;
@@ -66,11 +69,10 @@ TEST(RuntimeStress, CommandStormAcrossShards) {
           c.kind = rt::CommandKind::kOpenBatch;
           c.batch_sizes = {2, 3, static_cast<u32>(2 + rng.below(3))};
         } else {
-          c.kind = rt::CommandKind::kReplace;
+          c.kind = rt::CommandKind::kClose;
           c.session = static_cast<u32>(rng.below(40));
-          c.size = 2 + static_cast<u32>(rng.below(4));
         }
-        c.done = [&](rt::CommandResult&&) { completions.fetch_add(1); };
+        c.slot = mine.emplace_back(pool.acquire());
         const u32 shard = static_cast<u32>(rng.below(kShards));
         if (r.submit_to_blocking(shard, std::move(c)) ==
             rt::SubmitStatus::kAccepted)
@@ -81,11 +83,16 @@ TEST(RuntimeStress, CommandStormAcrossShards) {
   for (auto& t : producers) t.join();
   r.stop();
 
-  // Post-stop rejections also invoke `done`, so the two counts only match
-  // when nothing raced; here every submit happened before stop().
+  // Post-stop rejections also fulfill their slot, so every slot being
+  // kDone shows that nothing raced; here every submit happened before
+  // stop().
   EXPECT_EQ(accepted_submits.load(),
             static_cast<u64>(kProducers) * kPerProducer);
-  EXPECT_EQ(completions.load(), accepted_submits.load());
+  u64 completions = 0;
+  for (const auto& mine : slots)
+    for (rt::ResultSlot* slot : mine)
+      if (slot->wait_take().status == rt::CommandStatus::kDone) ++completions;
+  EXPECT_EQ(completions, accepted_submits.load());
   const rt::RuntimeSnapshot snap = r.snapshot();
   EXPECT_EQ(snap.total.completed, accepted_submits.load());
   for (const rt::ShardStats& s : snap.shards) EXPECT_TRUE(s.consistent());
@@ -106,9 +113,8 @@ TEST(RuntimeStress, ConcurrentFaultsAndChurn) {
     for (int i = 0; i < 1200; ++i) {
       rt::Command c;
       if (rng.chance(0.25)) {
-        c.kind = rt::CommandKind::kReplace;
+        c.kind = rt::CommandKind::kClose;
         c.session = static_cast<u32>(rng.below(60));
-        c.size = 2 + static_cast<u32>(rng.below(4));
       } else {
         c.kind = rt::CommandKind::kOpen;
         c.size = 2 + static_cast<u32>(rng.below(5));
@@ -154,11 +160,11 @@ TEST(RuntimeStress, ConcurrentFaultsAndChurn) {
   for (u32 s = 0; s < kShards; ++s) {
     const rt::ShardStats& st = snap.shards[s];
     EXPECT_TRUE(st.consistent());
-    // Conservation: every interrupted session was recovered, dropped by
-    // the shutdown retry flush, or is still queued awaiting capacity.
-    EXPECT_EQ(st.recovered + st.dropped + st.expired +
-                  r.shard(s).recovery().pending(),
-              st.torn_down);
+    // Loss-mode conservation: every interrupted session was repacked in
+    // place or dropped inside its fail command; nothing is left pending.
+    const conf::RecoveryCoordinator& recovery = r.shard(s).recovery();
+    EXPECT_EQ(st.torn_down, st.recovered + recovery.stats().dropped);
+    EXPECT_EQ(recovery.pending(), 0u);
   }
   EXPECT_EQ(snap.total.completed, r.submitted());
 }
@@ -170,24 +176,31 @@ TEST(RuntimeStress, StopRaceLosesNoCommands) {
     rt::Runtime r(stress_config(4, 2));
     r.start();
 
-    std::atomic<u64> answered{0};
-    std::atomic<u64> accounted{0};  // accepted or inline-rejected
+    rt::ResultPool pool;
+    constexpr int kProducers = 3;
+    // Per producer: slots of accepted or inline-rejected commands, and of
+    // bounced ones (returned to the caller, intentionally abandoned).
+    std::vector<std::vector<rt::ResultSlot*>> accounted(kProducers);
+    std::vector<std::vector<rt::ResultSlot*>> bounced(kProducers);
     std::vector<std::thread> producers;
-    for (int p = 0; p < 3; ++p) {
+    for (int p = 0; p < kProducers; ++p) {
       producers.emplace_back([&, p] {
         confnet::util::Rng rng(static_cast<u64>(round * 10 + p) + 1);
+        const auto me = static_cast<std::size_t>(p);
         for (int i = 0; i < 200; ++i) {
           rt::Command c;
           c.kind = rt::CommandKind::kOpen;
           c.size = 2;
-          c.done = [&](rt::CommandResult&&) { answered.fetch_add(1); };
+          c.slot = pool.acquire();
+          rt::ResultSlot* const slot = c.slot;
           switch (r.submit_to(static_cast<u32>(rng.below(4)), std::move(c))) {
             case rt::SubmitStatus::kAccepted:
             case rt::SubmitStatus::kStopped:
-              accounted.fetch_add(1);
+              accounted[me].push_back(slot);
               break;
             case rt::SubmitStatus::kQueueFull:
-              break;  // returned to caller: intentionally abandoned
+              bounced[me].push_back(slot);
+              break;
           }
         }
       });
@@ -195,7 +208,18 @@ TEST(RuntimeStress, StopRaceLosesNoCommands) {
     // Stop somewhere in the middle of the storm.
     r.stop();
     for (auto& t : producers) t.join();
-    EXPECT_EQ(answered.load(), accounted.load());
+    // stop() applied everything accepted before it; later submits were
+    // answered inline. Either way the slot is fulfilled by now.
+    u64 answered = 0;
+    u64 total = 0;
+    for (const auto& mine : accounted) {
+      total += mine.size();
+      for (rt::ResultSlot* slot : mine)
+        if (slot->ready()) ++answered;
+    }
+    EXPECT_EQ(answered, total);
+    for (const auto& mine : bounced)
+      for (rt::ResultSlot* slot : mine) EXPECT_FALSE(slot->ready());
   }
 }
 

@@ -1,20 +1,24 @@
-// Functional tests of the concurrent admission runtime: command routing,
-// the bounded-queue edge cases (backpressure, bounce-once accounting
-// across retries, drain-on-stop with in-flight batches, post-stop
-// rejection), the lock-lean producer path (pooled completions that
-// recycle their slots, staged bursts with one wake per flush, tiny-queue
-// flushes that must not self-deadlock), cross-shard snapshot consistency,
-// fault commands, and the worker-count determinism contract (per-shard
-// outcomes depend only on the per-shard command sequence and seed, never
-// on how shards are packed onto worker threads).
+// Functional tests of the concurrent admission runtime: command
+// round-trips, the loss-mode construction contract, the bounded-queue edge
+// cases (backpressure, bounce-once accounting across retries,
+// drain-on-stop with in-flight batches, post-stop rejection), the
+// lock-lean producer path (pooled completions that recycle their slots,
+// staged bursts with one wake per flush, tiny-queue flushes that must not
+// self-deadlock), cross-shard snapshot consistency, fault commands and
+// their conservation law, and the determinism contract (per-shard outcomes
+// depend only on the per-shard command sequence and seed, never on how
+// shards are packed onto worker threads, and equal a serial oracle's).
+// Every completion is observed through a pooled ResultSlot, the runtime's
+// one completion channel.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstddef>
-#include <future>
 #include <sstream>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "conference/designs.hpp"
@@ -23,7 +27,9 @@
 #include "min/types.hpp"
 #include "runtime/command.hpp"
 #include "runtime/queue.hpp"
+#include "runtime/result_pool.hpp"
 #include "runtime/runtime.hpp"
+#include "util/error.hpp"
 #include "util/rng.hpp"
 
 namespace {
@@ -39,7 +45,6 @@ rt::RuntimeConfig small_config(u32 shards, u32 workers) {
   cfg.workers = workers;
   cfg.shard.stages = 4;  // 16 ports per shard
   cfg.shard.queue_depth = 64;
-  cfg.shard.wait_capacity = 8;
   cfg.shard.seed = 42;
   return cfg;
 }
@@ -51,33 +56,66 @@ rt::Command open_cmd(u32 size) {
   return c;
 }
 
+rt::Command close_cmd(u32 session) {
+  rt::Command c;
+  c.kind = rt::CommandKind::kClose;
+  c.session = session;
+  return c;
+}
+
+rt::Command link_cmd(rt::CommandKind kind, u32 level, u32 row) {
+  rt::Command c;
+  c.kind = kind;
+  c.level = level;
+  c.row = row;
+  return c;
+}
+
 // ---------------------------------------------------------------------------
 // Basic lifecycle and command round-trips.
 // ---------------------------------------------------------------------------
 
-TEST(Runtime, OpenCloseRoundTripThroughFutures) {
+TEST(Runtime, OpenCloseRoundTripThroughSlots) {
   rt::Runtime r(small_config(2, 1));
   r.start();
 
-  auto opened = r.call(0, open_cmd(3)).get();
+  auto opened = r.call_pooled(0, open_cmd(3)).take();
   ASSERT_EQ(opened.status, rt::CommandStatus::kDone);
   ASSERT_EQ(opened.open.outcome, conf::RequestOutcome::kServed);
   ASSERT_TRUE(opened.open.session.has_value());
   EXPECT_EQ(opened.shard, 0u);
 
-  rt::Command close;
-  close.kind = rt::CommandKind::kClose;
-  close.session = *opened.open.session;
-  auto closed = r.call(0, std::move(close)).get();
+  auto closed = r.call_pooled(0, close_cmd(*opened.open.session)).take();
   EXPECT_EQ(closed.status, rt::CommandStatus::kDone);
   EXPECT_TRUE(closed.ok);
+
+  // Closing a session that no longer exists is a tolerated no-op.
+  auto ghost = r.call_pooled(0, close_cmd(*opened.open.session)).take();
+  EXPECT_EQ(ghost.status, rt::CommandStatus::kDone);
+  EXPECT_FALSE(ghost.ok);
 
   r.stop();
   const rt::RuntimeSnapshot snap = r.snapshot();
   EXPECT_EQ(snap.total.opens, 1u);
   EXPECT_EQ(snap.total.accepted, 1u);
   EXPECT_EQ(snap.total.closes, 1u);
+  EXPECT_EQ(snap.total.commands, 3u);
   EXPECT_EQ(snap.total.active_sessions, 0u);
+}
+
+TEST(Runtime, ConstructionRejectsHoldQueueAndRetryBudget) {
+  // A runtime shard is loss-mode by construction: the defaults are the
+  // only accepted values of the hold-queue and retry knobs.
+  EXPECT_NO_THROW(rt::Runtime{small_config(1, 1)});
+  rt::RuntimeConfig held = small_config(1, 1);
+  held.shard.wait_capacity = 8;
+  EXPECT_THROW(rt::Runtime{held}, confnet::Error);
+  rt::RuntimeConfig bypass = small_config(1, 1);
+  bypass.shard.wait_bypass = true;
+  EXPECT_THROW(rt::Runtime{bypass}, confnet::Error);
+  rt::RuntimeConfig retrying = small_config(1, 1);
+  retrying.shard.recovery.max_retries = 3;
+  EXPECT_THROW(rt::Runtime{retrying}, confnet::Error);
 }
 
 TEST(Runtime, OpenBatchReportsInputOrderOutcomes) {
@@ -86,7 +124,7 @@ TEST(Runtime, OpenBatchReportsInputOrderOutcomes) {
   rt::Command c;
   c.kind = rt::CommandKind::kOpenBatch;
   c.batch_sizes = {2, 5, 3};
-  auto result = r.call(0, std::move(c)).get();
+  auto result = r.call_pooled(0, std::move(c)).take();
   r.stop();
   ASSERT_EQ(result.status, rt::CommandStatus::kDone);
   ASSERT_EQ(result.batch.size(), 3u);
@@ -117,45 +155,6 @@ TEST(Runtime, OpenBatchReportsInputOrderOutcomes) {
   EXPECT_EQ(snap.total.accepted, static_cast<u64>(served));
 }
 
-TEST(Runtime, PortRoutingPicksContiguousBlocks) {
-  rt::Runtime r(small_config(4, 2));
-  EXPECT_EQ(r.ports_per_shard(), 16u);
-  EXPECT_EQ(r.total_ports(), 64u);
-  EXPECT_EQ(r.shard_of_port(0), 0u);
-  EXPECT_EQ(r.shard_of_port(15), 0u);
-  EXPECT_EQ(r.shard_of_port(16), 1u);
-  EXPECT_EQ(r.shard_of_port(63), 3u);
-  r.start();
-  auto result = r.call(r.shard_of_port(40), open_cmd(2)).get();
-  EXPECT_EQ(result.shard, 2u);
-  r.stop();
-}
-
-TEST(Runtime, ReplaceSwapsSessionsAndToleratesDeadOnes) {
-  rt::Runtime r(small_config(1, 1));
-  r.start();
-  auto opened = r.call(0, open_cmd(4)).get();
-  ASSERT_TRUE(opened.open.session.has_value());
-
-  rt::Command swap;
-  swap.kind = rt::CommandKind::kReplace;
-  swap.session = *opened.open.session;
-  swap.size = 2;
-  auto swapped = r.call(0, std::move(swap)).get();
-  EXPECT_TRUE(swapped.ok);
-  EXPECT_EQ(swapped.open.outcome, conf::RequestOutcome::kServed);
-
-  // Replacing a session that no longer exists still runs the open half.
-  rt::Command ghost;
-  ghost.kind = rt::CommandKind::kReplace;
-  ghost.session = 9999;
-  ghost.size = 2;
-  auto ghosted = r.call(0, std::move(ghost)).get();
-  EXPECT_FALSE(ghosted.ok);
-  EXPECT_EQ(ghosted.open.outcome, conf::RequestOutcome::kServed);
-  r.stop();
-}
-
 // ---------------------------------------------------------------------------
 // Queue edge cases.
 // ---------------------------------------------------------------------------
@@ -163,32 +162,39 @@ TEST(Runtime, ReplaceSwapsSessionsAndToleratesDeadOnes) {
 TEST(Runtime, FullQueueBackpressureReturnsCommandToCaller) {
   // No workers running yet, so the queue can only fill: capacity accepts,
   // the next submit bounces with kQueueFull and the command is NOT consumed
-  // (its completion must never fire).
+  // (its slot must never be fulfilled).
   rt::RuntimeConfig cfg = small_config(1, 1);
   cfg.shard.queue_depth = 4;
   rt::Runtime r(cfg);
+  rt::ResultPool pool;
 
-  std::atomic<int> completions{0};
+  std::vector<rt::ResultSlot*> slots;
   for (int i = 0; i < 4; ++i) {
     rt::Command c = open_cmd(2);
-    c.done = [&](rt::CommandResult&&) { completions.fetch_add(1); };
+    c.slot = slots.emplace_back(pool.acquire());
     EXPECT_EQ(r.submit_to(0, std::move(c)), rt::SubmitStatus::kAccepted);
   }
-  rt::Command extra = open_cmd(2);
-  bool extra_completed = false;
-  extra.done = [&](rt::CommandResult&&) { extra_completed = true; };
+  // A batch command: its size vector shows whether the bounce consumed it.
+  rt::Command extra;
+  extra.kind = rt::CommandKind::kOpenBatch;
+  extra.batch_sizes = {2};
+  extra.slot = pool.acquire();
   EXPECT_EQ(r.submit_to(0, std::move(extra)), rt::SubmitStatus::kQueueFull);
-  EXPECT_FALSE(extra_completed);
-  EXPECT_TRUE(static_cast<bool>(extra.done));  // caller still owns it
+  EXPECT_FALSE(extra.slot->ready());
+  EXPECT_EQ(extra.batch_sizes.size(), 1u);  // caller still owns it
 
   // Once workers run, the backlog drains and a resubmit goes through.
   r.start();
   r.drain();
+  rt::ResultSlot* const extra_slot = extra.slot;
   EXPECT_EQ(r.submit_to(0, std::move(extra)), rt::SubmitStatus::kAccepted);
   r.drain();
   r.stop();
-  EXPECT_EQ(completions.load(), 4);
-  EXPECT_TRUE(extra_completed);
+  int completions = 0;
+  for (rt::ResultSlot* slot : slots)
+    if (slot->wait_take().status == rt::CommandStatus::kDone) ++completions;
+  EXPECT_EQ(completions, 4);
+  EXPECT_EQ(extra_slot->wait_take().status, rt::CommandStatus::kDone);
   EXPECT_EQ(r.snapshot().total.completed, 5u);
 }
 
@@ -200,15 +206,16 @@ TEST(Runtime, BouncedSubmitsAreCountedOnceAcrossRetry) {
   rt::RuntimeConfig cfg = small_config(1, 1);
   cfg.shard.queue_depth = 4;
   rt::Runtime r(cfg);
+  rt::ResultPool pool;
 
-  std::atomic<int> completions{0};
+  std::vector<rt::ResultSlot*> slots;
   for (int i = 0; i < 4; ++i) {
     rt::Command c = open_cmd(2);
-    c.done = [&](rt::CommandResult&&) { completions.fetch_add(1); };
+    c.slot = slots.emplace_back(pool.acquire());
     ASSERT_EQ(r.submit_to(0, std::move(c)), rt::SubmitStatus::kAccepted);
   }
   rt::Command extra = open_cmd(2);
-  extra.done = [&](rt::CommandResult&&) { completions.fetch_add(1); };
+  extra.slot = slots.emplace_back(pool.acquire());
   EXPECT_EQ(r.submit_to(0, std::move(extra)), rt::SubmitStatus::kQueueFull);
   EXPECT_EQ(r.submit_to(0, std::move(extra)), rt::SubmitStatus::kQueueFull)
       << "a second attempt against the still-full queue bounces again";
@@ -220,7 +227,10 @@ TEST(Runtime, BouncedSubmitsAreCountedOnceAcrossRetry) {
   r.drain();
   r.stop();
 
-  EXPECT_EQ(completions.load(), 5);
+  int completions = 0;
+  for (rt::ResultSlot* slot : slots)
+    if (slot->wait_take().status == rt::CommandStatus::kDone) ++completions;
+  EXPECT_EQ(completions, 5);
   const rt::RuntimeSnapshot snap = r.snapshot();
   EXPECT_EQ(snap.total.completed, 5u)
       << "the retried command must count once, not once per bounce";
@@ -234,30 +244,22 @@ TEST(Runtime, BouncedSubmitsAreCountedOnceAcrossRetry) {
 // Pooled completions and staged bursts (the lock-lean producer path).
 // ---------------------------------------------------------------------------
 
-TEST(Runtime, PooledCallsMatchFuturesAndRecycleSlots) {
+TEST(Runtime, PooledCallsRecycleSlots) {
   rt::Runtime r(small_config(2, 1));
   r.start();
 
-  // Round-trip parity with the future path.
   auto opened = r.call_pooled(0, open_cmd(3)).take();
   ASSERT_EQ(opened.status, rt::CommandStatus::kDone);
   ASSERT_TRUE(opened.open.session.has_value());
-  rt::Command close;
-  close.kind = rt::CommandKind::kClose;
-  close.session = *opened.open.session;
-  EXPECT_TRUE(r.call_pooled(0, std::move(close)).take().ok);
+  EXPECT_TRUE(r.call_pooled(0, close_cmd(*opened.open.session)).take().ok);
 
   // A sequential open/close churn keeps exactly one slot in flight — the
   // pool must not grow past the concurrency high-water mark.
   const std::size_t before = r.pooled_slots();
   for (int i = 0; i < 200; ++i) {
     auto res = r.call_pooled(i % 2, open_cmd(2)).take();
-    if (res.open.session) {
-      rt::Command c;
-      c.kind = rt::CommandKind::kClose;
-      c.session = *res.open.session;
-      (void)r.call_pooled(i % 2, std::move(c)).take();
-    }
+    if (res.open.session)
+      (void)r.call_pooled(i % 2, close_cmd(*res.open.session)).take();
   }
   EXPECT_EQ(r.pooled_slots(), before)
       << "steady-state pooled churn must recycle, never grow the arena";
@@ -331,13 +333,14 @@ TEST(Runtime, StagedBurstSurvivesTinyQueues) {
 
 TEST(Runtime, StopDrainsInFlightBatchesExactlyOnce) {
   // Stop immediately after a burst of submits: every accepted command must
-  // still be applied (drain-on-stop), and each completion runs exactly once.
+  // still be applied (drain-on-stop), and each slot is fulfilled once.
   rt::RuntimeConfig cfg = small_config(4, 2);
   cfg.shard.queue_depth = 512;
   rt::Runtime r(cfg);
   r.start();
 
-  std::atomic<int> completions{0};
+  rt::ResultPool pool;
+  std::vector<rt::ResultSlot*> slots;
   constexpr int kPerShard = 100;
   for (u32 s = 0; s < 4; ++s) {
     for (int i = 0; i < kPerShard; ++i) {
@@ -348,17 +351,20 @@ TEST(Runtime, StopDrainsInFlightBatchesExactlyOnce) {
         c.batch_sizes = {2, 3};
         c.size = 0;
       }
-      c.done = [&](rt::CommandResult&& result) {
-        EXPECT_EQ(result.status, rt::CommandStatus::kDone);
-        completions.fetch_add(1);
-      };
+      c.slot = slots.emplace_back(pool.acquire());
       ASSERT_EQ(r.submit_to_blocking(s, std::move(c)),
                 rt::SubmitStatus::kAccepted);
     }
   }
   r.stop();  // no drain() first — stop itself must finish the backlog
 
-  EXPECT_EQ(completions.load(), 4 * kPerShard);
+  int completions = 0;
+  for (rt::ResultSlot* slot : slots) {
+    ASSERT_TRUE(slot->ready()) << "stop returned with a command unapplied";
+    EXPECT_EQ(slot->wait_take().status, rt::CommandStatus::kDone);
+    ++completions;
+  }
+  EXPECT_EQ(completions, 4 * kPerShard);
   const rt::RuntimeSnapshot snap = r.snapshot();
   EXPECT_EQ(snap.total.completed, static_cast<u64>(4 * kPerShard));
   EXPECT_EQ(snap.total.rejected_stopped, 0u);
@@ -369,19 +375,19 @@ TEST(Runtime, PostStopCommandsAreRejectedNotLost) {
   r.start();
   r.stop();
 
-  bool completed = false;
+  rt::ResultPool pool;
   rt::Command c = open_cmd(3);
-  c.done = [&](rt::CommandResult&& result) {
-    completed = true;
-    EXPECT_EQ(result.status, rt::CommandStatus::kRejectedStopped);
-    EXPECT_EQ(result.kind, rt::CommandKind::kOpen);
-  };
+  c.slot = pool.acquire();
+  rt::ResultSlot* const slot = c.slot;
   EXPECT_EQ(r.submit_to(0, std::move(c)), rt::SubmitStatus::kStopped);
-  EXPECT_TRUE(completed);  // inline, on this thread
+  ASSERT_TRUE(slot->ready());  // inline, on this thread
+  const rt::CommandResult result = slot->wait_take();
+  EXPECT_EQ(result.status, rt::CommandStatus::kRejectedStopped);
+  EXPECT_EQ(result.kind, rt::CommandKind::kOpen);
 
-  // Futures become ready too — nothing hangs.
-  auto fut = r.call(1, open_cmd(2));
-  EXPECT_EQ(fut.get().status, rt::CommandStatus::kRejectedStopped);
+  // Pooled calls complete too — nothing hangs.
+  EXPECT_EQ(r.call_pooled(1, open_cmd(2)).take().status,
+            rt::CommandStatus::kRejectedStopped);
 
   const rt::RuntimeSnapshot snap = r.snapshot();
   EXPECT_EQ(snap.total.rejected_stopped, 2u);
@@ -421,7 +427,7 @@ TEST(Runtime, SnapshotsAreConsistentWhileChurning) {
     for (const rt::ShardStats& s : snap.shards) {
       EXPECT_TRUE(s.consistent())
           << "opens=" << s.opens << " accepted=" << s.accepted
-          << " queued=" << s.queued << " rejected=" << s.rejected
+          << " rejected=" << s.rejected
           << " commands=" << s.commands << " completed=" << s.completed;
     }
   }
@@ -447,42 +453,35 @@ TEST(Runtime, FailAndRepairLinkRunRecovery) {
   // Load the shard so some sessions cross interstage links.
   int accepted = 0;
   for (int i = 0; i < 12; ++i) {
-    auto result = r.call(0, open_cmd(2)).get();
+    auto result = r.call_pooled(0, open_cmd(2)).take();
     if (result.open.outcome == conf::RequestOutcome::kServed) ++accepted;
   }
   ASSERT_GT(accepted, 0);
 
-  rt::Command fail;
-  fail.kind = rt::CommandKind::kFailLink;
-  fail.level = 1;
-  fail.row = 0;
-  auto failed = r.call(0, std::move(fail)).get();
+  auto failed =
+      r.call_pooled(0, link_cmd(rt::CommandKind::kFailLink, 1, 0)).take();
   EXPECT_TRUE(failed.ok);
+  EXPECT_EQ(failed.torn_sessions.size(), failed.torn_down);
+  EXPECT_EQ(failed.relocated.size(), failed.recovered);
 
   // Failing the same link again is an idempotent no-op.
-  rt::Command again;
-  again.kind = rt::CommandKind::kFailLink;
-  again.level = 1;
-  again.row = 0;
-  EXPECT_FALSE(r.call(0, std::move(again)).get().ok);
-
-  rt::Command repair;
-  repair.kind = rt::CommandKind::kRepairLink;
-  repair.level = 1;
-  repair.row = 0;
-  EXPECT_TRUE(r.call(0, std::move(repair)).get().ok);
+  EXPECT_FALSE(
+      r.call_pooled(0, link_cmd(rt::CommandKind::kFailLink, 1, 0)).take().ok);
+  EXPECT_TRUE(
+      r.call_pooled(0, link_cmd(rt::CommandKind::kRepairLink, 1, 0)).take().ok);
 
   r.stop();
   const rt::ShardStats s = r.shard(0).snapshot();
   EXPECT_EQ(s.link_failures, 1u);
   EXPECT_EQ(s.link_repairs, 1u);
   EXPECT_TRUE(s.consistent());
-  // Conservation: every interrupted session was recovered, dropped by the
-  // shutdown retry flush, or is still queued waiting for capacity (the
-  // fabric stayed full, so a victim can legitimately wait forever).
-  EXPECT_EQ(s.recovered + s.dropped + s.expired +
-                r.shard(0).recovery().pending(),
-            s.torn_down);
+  // Loss-mode conservation: every interrupted session was repacked in
+  // place or dropped inside the fail command; nothing waits or retries.
+  const conf::RecoveryCoordinator& recovery = r.shard(0).recovery();
+  EXPECT_EQ(s.torn_down, s.recovered + recovery.stats().dropped);
+  EXPECT_EQ(recovery.pending(), 0u);
+  EXPECT_EQ(s.dropped, 0u);
+  EXPECT_EQ(s.expired, 0u);
 }
 
 // ---------------------------------------------------------------------------
@@ -504,15 +503,12 @@ std::vector<Outcome> run_scripted(rt::Runtime& r, u32 shard, u64 seed,
   std::vector<u32> live;
   for (int i = 0; i < commands; ++i) {
     if (i % 3 == 2 && !live.empty()) {
-      rt::Command c;
-      c.kind = rt::CommandKind::kClose;
-      c.session = live.front();
+      (void)r.call_pooled(shard, close_cmd(live.front())).take();
       live.erase(live.begin());
-      (void)r.call(shard, std::move(c)).get();
       continue;
     }
     const u32 size = 2 + static_cast<u32>(script.below(5));
-    auto result = r.call(shard, open_cmd(size)).get();
+    auto result = r.call_pooled(shard, open_cmd(size)).take();
     Outcome o{result.open.outcome, result.open.session.value_or(0)};
     if (result.open.session) live.push_back(*result.open.session);
     outcomes.push_back(o);
@@ -543,40 +539,200 @@ TEST(Runtime, OutcomesIndependentOfWorkerCount) {
   EXPECT_EQ(totals[0].rejected, totals[2].rejected);
 }
 
+// One scripted command's observable answer.
+struct Step {
+  rt::CommandKind kind = rt::CommandKind::kOpen;
+  conf::RequestOutcome outcome = conf::RequestOutcome::kRejected;  // kOpen
+  u32 session = 0;  // kOpen: the admitted id (0 when refused)
+  bool ok = false;  // kClose / kFailLink / kRepairLink
+  std::vector<u32> torn;                        // kFailLink
+  std::vector<std::pair<u32, u32>> relocated;  // kFailLink
+  bool operator==(const Step&) const = default;
+};
+
+// Scripted churn with link faults: open sizes from a seeded RNG, a close of
+// the oldest live session every fourth command, and roughly one fail and
+// one repair per ten commands. `apply` executes one command and reports
+// its Step; the script folds each answer into its live-session list (a
+// relocated victim is rehomed, a dropped one forgotten), so both sides of
+// a comparison are driven by the same answers.
+template <class Apply>
+std::vector<Step> run_fault_script(u64 seed, int commands, Apply&& apply) {
+  confnet::util::Rng script(seed);
+  std::vector<Step> steps;
+  std::vector<u32> live;
+  std::vector<std::pair<u32, u32>> faulty;  // (level, row), oldest first
+  for (int i = 0; i < commands; ++i) {
+    const u64 roll = script.below(10);
+    if (i % 4 == 3 && !live.empty()) {
+      steps.push_back(apply(close_cmd(live.front())));
+      live.erase(live.begin());
+    } else if (roll == 0) {
+      const auto level = static_cast<u32>(script.below(3));
+      const auto row = static_cast<u32>(script.below(16));
+      Step step = apply(link_cmd(rt::CommandKind::kFailLink, level, row));
+      if (step.ok) faulty.emplace_back(level, row);
+      for (const u32 victim : step.torn) {
+        const auto it = std::find(live.begin(), live.end(), victim);
+        if (it == live.end()) continue;
+        const auto moved = std::find_if(
+            step.relocated.begin(), step.relocated.end(),
+            [victim](const auto& p) { return p.first == victim; });
+        if (moved != step.relocated.end())
+          *it = moved->second;
+        else
+          live.erase(it);
+      }
+      steps.push_back(std::move(step));
+    } else if (roll == 1 && !faulty.empty()) {
+      const auto [level, row] = faulty.front();
+      faulty.erase(faulty.begin());
+      steps.push_back(
+          apply(link_cmd(rt::CommandKind::kRepairLink, level, row)));
+    } else {
+      Step step = apply(open_cmd(2 + static_cast<u32>(script.below(5))));
+      if (step.outcome == conf::RequestOutcome::kServed)
+        live.push_back(step.session);
+      steps.push_back(std::move(step));
+    }
+  }
+  return steps;
+}
+
+// The serial twin of one loss-mode shard: the same WaitQueueManager +
+// RecoveryCoordinator stack, fed the shard's seed and clock, tallying the
+// ShardStats fields that depend only on the command sequence.
+class SerialShard {
+ public:
+  SerialShard(const rt::ShardConfig& c, u32 index)
+      : net_(c.kind, c.stages,
+             conf::DilationProfile::uniform(c.stages, c.dilation)),
+        wait_(net_, c.policy, c.wait_capacity, c.wait_bypass, c.backend),
+        recovery_(wait_, c.recovery),
+        rng_(c.seed + index) {}
+
+  Step apply(const rt::Command& cmd) {
+    Step step;
+    step.kind = cmd.kind;
+    const auto now = static_cast<double>(tally_.commands);
+    switch (cmd.kind) {
+      case rt::CommandKind::kOpen: {
+        const auto r = wait_.request(cmd.size, rng_);
+        step.outcome = r.outcome;
+        step.session = r.session.value_or(0);
+        ++tally_.opens;
+        if (r.outcome == conf::RequestOutcome::kServed)
+          ++tally_.accepted;
+        else
+          ++tally_.rejected;
+        break;
+      }
+      case rt::CommandKind::kClose:
+        step.ok = wait_.sessions().contains(cmd.session);
+        if (step.ok) {
+          ++tally_.closes;
+          (void)wait_.close(cmd.session, rng_);
+        }
+        break;
+      case rt::CommandKind::kFailLink: {
+        step.ok = !net_.link_faulty(cmd.level, cmd.row);
+        auto impact = recovery_.fail_link(cmd.level, cmd.row, now, rng_);
+        if (step.ok) ++tally_.link_failures;
+        tally_.torn_down += impact.torn_down.size();
+        tally_.recovered += impact.recovered.size();
+        step.torn = std::move(impact.torn_down);
+        for (const auto& r : impact.recovered)
+          step.relocated.emplace_back(r.origin, r.session);
+        break;
+      }
+      case rt::CommandKind::kRepairLink:
+        step.ok = net_.link_faulty(cmd.level, cmd.row);
+        (void)recovery_.repair_link(cmd.level, cmd.row, now, rng_);
+        if (step.ok) ++tally_.link_repairs;
+        break;
+      case rt::CommandKind::kOpenBatch:
+        ADD_FAILURE() << "the fault script sends no batches";
+        break;
+    }
+    ++tally_.commands;
+    tally_.active_sessions = wait_.sessions().active_sessions();
+    return step;
+  }
+
+  [[nodiscard]] const rt::ShardStats& tally() const { return tally_; }
+  [[nodiscard]] const conf::RecoveryCoordinator& recovery() const {
+    return recovery_;
+  }
+
+ private:
+  conf::DirectConferenceNetwork net_;
+  conf::WaitQueueManager wait_;
+  conf::RecoveryCoordinator recovery_;
+  confnet::util::Rng rng_;
+  rt::ShardStats tally_;
+};
+
+Step step_of(rt::CommandResult&& r) {
+  EXPECT_EQ(r.status, rt::CommandStatus::kDone);
+  Step step;
+  step.kind = r.kind;
+  step.outcome = r.open.outcome;
+  step.session = r.open.session.value_or(0);
+  step.ok = r.ok;
+  step.torn = std::move(r.torn_sessions);
+  step.relocated = std::move(r.relocated);
+  return step;
+}
+
 TEST(Runtime, ShardMatchesSerialWaitQueueOracle) {
-  // The runtime's per-shard outcomes must equal a serial WaitQueueManager
-  // fed the same command sequence with the same seed — the runtime adds
-  // threading, never different admission decisions.
+  // The runtime's per-shard outcomes — session ids, fault victims, the
+  // repack's (origin, replacement) pairs and the shard counters — must
+  // equal a serial loss-mode WaitQueueManager + RecoveryCoordinator fed
+  // the same command sequence with the shard's seed: the runtime adds
+  // threading, never different admission or recovery decisions.
+  constexpr u64 kScriptSeed = 555;
+  constexpr int kCommands = 400;
   rt::RuntimeConfig cfg = small_config(1, 1);
+  cfg.shard.dilation = 2;  // room for enough live sessions to hit
   rt::Runtime r(cfg);
   r.start();
-  auto runtime_outcomes = run_scripted(r, 0, 555, 90);
+  const auto runtime_steps = run_fault_script(
+      kScriptSeed, kCommands, [&r](rt::Command&& cmd) {
+        return step_of(r.call_pooled(0, std::move(cmd)).take());
+      });
   r.stop();
 
-  conf::DirectConferenceNetwork net(
-      cfg.shard.kind, cfg.shard.stages,
-      conf::DilationProfile::uniform(cfg.shard.stages, 1));
-  conf::WaitQueueManager oracle(net, cfg.shard.policy,
-                                cfg.shard.wait_capacity,
-                                cfg.shard.wait_bypass, cfg.shard.backend);
-  confnet::util::Rng rng(cfg.shard.seed + 0);  // shard 0's seed
-  confnet::util::Rng script(555);
-  std::vector<Outcome> oracle_outcomes;
-  std::vector<u32> live;
-  for (int i = 0; i < 90; ++i) {
-    if (i % 3 == 2 && !live.empty()) {
-      (void)oracle.close(live.front(), rng);
-      live.erase(live.begin());
-      continue;
-    }
-    const u32 size = 2 + static_cast<u32>(script.below(5));
-    const auto result = oracle.request(size, rng);
-    Outcome o{result.outcome,
-              result.session ? *result.session : 0};
-    if (result.session) live.push_back(*result.session);
-    oracle_outcomes.push_back(o);
-  }
-  EXPECT_EQ(runtime_outcomes, oracle_outcomes);
+  SerialShard oracle(cfg.shard, 0);
+  const auto oracle_steps = run_fault_script(
+      kScriptSeed, kCommands,
+      [&oracle](rt::Command&& cmd) { return oracle.apply(cmd); });
+  ASSERT_EQ(runtime_steps.size(), oracle_steps.size());
+  for (std::size_t i = 0; i < runtime_steps.size(); ++i)
+    EXPECT_EQ(runtime_steps[i], oracle_steps[i]) << "diverged at step " << i;
+
+  const rt::ShardStats got = r.shard(0).snapshot();
+  const rt::ShardStats& want = oracle.tally();
+  EXPECT_EQ(got.commands, want.commands);
+  EXPECT_EQ(got.opens, want.opens);
+  EXPECT_EQ(got.accepted, want.accepted);
+  EXPECT_EQ(got.rejected, want.rejected);
+  EXPECT_EQ(got.closes, want.closes);
+  EXPECT_EQ(got.link_failures, want.link_failures);
+  EXPECT_EQ(got.link_repairs, want.link_repairs);
+  EXPECT_EQ(got.torn_down, want.torn_down);
+  EXPECT_EQ(got.recovered, want.recovered);
+  EXPECT_EQ(got.dropped, want.dropped);
+  EXPECT_EQ(got.expired, want.expired);
+  EXPECT_EQ(got.active_sessions, want.active_sessions);
+  EXPECT_EQ(r.shard(0).recovery().stats().dropped,
+            oracle.recovery().stats().dropped);
+
+  // The script must actually exercise the fault path it compares.
+  EXPECT_GT(want.link_failures, 0u);
+  EXPECT_GT(want.link_repairs, 0u);
+  EXPECT_GT(want.torn_down, 0u);
+  EXPECT_GT(want.recovered, 0u);
+  EXPECT_GT(oracle.recovery().stats().dropped, 0u);
 }
 
 // ---------------------------------------------------------------------------
@@ -589,7 +745,7 @@ TEST(Runtime, TraceRingDumpsTaggedJsonl) {
   rt::Runtime r(cfg);
   r.start();
   for (u32 s = 0; s < 2; ++s)
-    for (int i = 0; i < 5; ++i) (void)r.call(s, open_cmd(2)).get();
+    for (int i = 0; i < 5; ++i) (void)r.call_pooled(s, open_cmd(2)).take();
   r.stop();
 
   std::ostringstream os;
