@@ -53,7 +53,7 @@ int main(int argc, char** argv) {
               "spanning conferences multiplexed onto one trunk lane");
   cli.add_int("retry-on-repair", 0,
               "1 = park fault victims until the matching repair fires "
-              "(0 = legacy immediate re-offer)");
+              "(0 = immediate re-offer)");
   cli.add_string("seeds", "1..8", "seed range lo..hi (or a single seed)");
   cli.add_double("span-fraction", 0.4, "fraction of arrivals spanning shards");
   cli.add_double("trunk-fault-rate", 0.1,

@@ -62,17 +62,7 @@ std::vector<u32> ConferenceNetworkBase::repair_link(u32 level, u32 row) {
   return {};
 }
 
-// ---------------------------------------------------------------------------
-// DirectConferenceNetwork
-// ---------------------------------------------------------------------------
-
 namespace {
-std::vector<u32> dilation_capacity(const DilationProfile& dilation) {
-  std::vector<u32> caps(dilation.n() + 1);
-  for (u32 l = 0; l <= dilation.n(); ++l) caps[l] = dilation.channels(l);
-  return caps;
-}
-
 std::vector<u32> with_member(const std::vector<u32>& members, u32 port) {
   std::vector<u32> grown = members;
   grown.insert(std::lower_bound(grown.begin(), grown.end(), port), port);
@@ -84,47 +74,19 @@ std::vector<u32> without_member(const std::vector<u32>& members, u32 port) {
   shrunk.erase(std::lower_bound(shrunk.begin(), shrunk.end(), port));
   return shrunk;
 }
-
-/// The stateless-oracle functional check shared by both designs: rebuild
-/// every group and re-propagate through Fabric::evaluate with unlimited
-/// channels (capacity was enforced at setup, so this reports pure delivery
-/// correctness). Evaluated against the design's live fault set, so a
-/// degraded group fails the check exactly when a member stops hearing the
-/// full conference.
-bool verify_via_fabric(const min::Network& net, const sw::FabricState& state) {
-  std::vector<sw::GroupRealization> groups;
-  groups.reserve(state.group_count());
-  state.for_each_group(
-      [&](const sw::GroupRealization& g) { groups.push_back(g); });
-  const sw::Fabric fabric(net,
-                          sw::FabricConfig{net.size(), true, true});
-  const sw::EvalReport report = fabric.evaluate(groups, &state.faults());
-  if (!report.ok()) return false;
-  for (std::size_t gi = 0; gi < groups.size(); ++gi) {
-    for (std::size_t mi = 0; mi < groups[gi].members.size(); ++mi) {
-      if (report.delivered[gi][mi].values() != groups[gi].members)
-        return false;
-    }
-  }
-  return true;
-}
 }  // namespace
 
-DirectConferenceNetwork::DirectConferenceNetwork(min::Kind kind, u32 n,
-                                                 DilationProfile dilation)
+// ---------------------------------------------------------------------------
+// FabricConferenceNetwork
+// ---------------------------------------------------------------------------
+
+FabricConferenceNetwork::FabricConferenceNetwork(min::Kind kind, u32 n,
+                                                 std::vector<u32> capacity)
     : net_(min::make_network(kind, n)),
-      dilation_(std::move(dilation)),
-      state_(net_, dilation_capacity(dilation_)),
-      port_busy_(u32{1} << n, false) {
-  expects(dilation_.n() == n, "dilation profile size mismatch");
-}
+      state_(net_, std::move(capacity)),
+      port_busy_(net_.size(), false) {}
 
-std::string DirectConferenceNetwork::name() const {
-  return "direct-" + std::string(min::kind_name(net_.kind())) + "(" +
-         dilation_.label() + ")";
-}
-
-std::optional<u32> DirectConferenceNetwork::setup(
+std::optional<u32> FabricConferenceNetwork::setup(
     const std::vector<u32>& members) {
   expects(members.size() >= 2, "conferences need at least two members");
   for (u32 m : members) {
@@ -136,10 +98,7 @@ std::optional<u32> DirectConferenceNetwork::setup(
   }
   std::vector<u32> sorted = members;
   std::sort(sorted.begin(), sorted.end());
-  sw::GroupRealization g;
-  g.id = next_handle_;
-  g.links = all_pairs_links(net_.kind(), n(), sorted);
-  g.members = std::move(sorted);
+  sw::GroupRealization g = realize(next_handle_, std::move(sorted));
   if (!state_.links_clear(g.links)) {
     last_error_ = SetupError::kLinkFaulty;
     return std::nullopt;
@@ -150,87 +109,140 @@ std::optional<u32> DirectConferenceNetwork::setup(
   }
   const u32 handle = next_handle_++;
   for (u32 m : state_.group(handle).members) port_busy_[m] = true;
-  CONFNET_AUDIT_HOOK(audit::check_direct_network(*this));
+  CONFNET_AUDIT_HOOK(audit_design());
   return handle;
 }
 
-void DirectConferenceNetwork::teardown(u32 handle) {
+void FabricConferenceNetwork::teardown(u32 handle) {
   expects(state_.contains(handle), "teardown of unknown conference handle");
   for (u32 m : state_.group(handle).members) port_busy_[m] = false;
   state_.remove(handle);
-  CONFNET_AUDIT_HOOK(audit::check_direct_network(*this));
+  CONFNET_AUDIT_HOOK(audit_design());
 }
 
-bool DirectConferenceNetwork::verify_delivery() const {
+bool FabricConferenceNetwork::verify_delivery() const {
   return state_.delivery_ok();
 }
 
-bool DirectConferenceNetwork::verify_delivery_reference() const {
-  return verify_via_fabric(net_, state_);
+/// The stateless-oracle functional check: rebuild every group and
+/// re-propagate through Fabric::evaluate with unlimited channels (capacity
+/// was enforced at setup, so this reports pure delivery correctness).
+/// Evaluated against the live fault set, so a degraded group fails the
+/// check exactly when a member stops hearing the full conference.
+bool FabricConferenceNetwork::verify_delivery_reference() const {
+  std::vector<sw::GroupRealization> groups;
+  groups.reserve(state_.group_count());
+  state_.for_each_group(
+      [&](const sw::GroupRealization& g) { groups.push_back(g); });
+  const sw::Fabric fabric(net_, sw::FabricConfig{net_.size(), true, true});
+  const sw::EvalReport report = fabric.evaluate(groups, &state_.faults());
+  if (!report.ok()) return false;
+  for (std::size_t gi = 0; gi < groups.size(); ++gi) {
+    for (std::size_t mi = 0; mi < groups[gi].members.size(); ++mi) {
+      if (report.delivered[gi][mi].values() != groups[gi].members)
+        return false;
+    }
+  }
+  return true;
 }
 
-bool DirectConferenceNetwork::add_member(u32 handle, u32 port) {
+bool FabricConferenceNetwork::add_member(u32 handle, u32 port) {
   expects(state_.contains(handle), "add_member on unknown handle");
   expects(port < size(), "member out of range");
   if (port_busy_[port]) {
     last_error_ = SetupError::kPortBusy;
     return false;
   }
-  sw::GroupRealization grown;
-  grown.id = handle;
-  grown.members = with_member(state_.group(handle).members, port);
-  grown.links = all_pairs_links(net_.kind(), n(), grown.members);
+  sw::GroupRealization grown =
+      realize(handle, with_member(state_.group(handle).members, port));
   if (!state_.links_clear(grown.links)) {
     last_error_ = SetupError::kLinkFaulty;
     return false;
   }
+  // A grown realization may also release links (an enhanced conference
+  // whose tap level rises); try_replace checks capacity on the gained
+  // links only.
   if (!state_.try_replace(handle, std::move(grown))) {
     last_error_ = SetupError::kLinkCapacity;
     return false;
   }
   port_busy_[port] = true;
-  CONFNET_AUDIT_HOOK(audit::check_direct_network(*this));
+  CONFNET_AUDIT_HOOK(audit_design());
   return true;
 }
 
-bool DirectConferenceNetwork::remove_member(u32 handle, u32 port) {
+bool FabricConferenceNetwork::remove_member(u32 handle, u32 port) {
   expects(state_.contains(handle), "remove_member on unknown handle");
   const std::vector<u32>& members = state_.group(handle).members;
   if (!std::binary_search(members.begin(), members.end(), port)) return false;
   if (members.size() <= 2) return false;  // close instead
-  sw::GroupRealization shrunk;
-  shrunk.id = handle;
-  shrunk.members = without_member(members, port);
-  shrunk.links = all_pairs_links(net_.kind(), n(), shrunk.members);
-  // An ALL_PAIRS subnetwork of fewer members only releases links, so the
-  // swap cannot oversubscribe anything.
-  state_.replace(handle, std::move(shrunk));
+  // Shrinking cannot oversubscribe: an ALL_PAIRS subnetwork of fewer
+  // members only releases links, and an enhanced realization gains links
+  // only when its tap level drops, freeing more than it takes within the
+  // conference's own rows. So the unconditional swap is safe.
+  state_.replace(handle, realize(handle, without_member(members, port)));
   port_busy_[port] = false;
-  CONFNET_AUDIT_HOOK(audit::check_direct_network(*this));
+  CONFNET_AUDIT_HOOK(audit_design());
   return true;
 }
 
-const std::vector<u32>& DirectConferenceNetwork::members_for(
+const std::vector<u32>& FabricConferenceNetwork::members_for(
     u32 handle) const {
   expects(state_.contains(handle), "unknown conference handle");
   return state_.group(handle).members;
 }
 
+std::vector<u32> FabricConferenceNetwork::fail_link(u32 level, u32 row) {
+  auto touched = state_.fail_link(level, row);
+  CONFNET_AUDIT_HOOK(audit_design());
+  return touched;
+}
+
+std::vector<u32> FabricConferenceNetwork::repair_link(u32 level, u32 row) {
+  auto touched = state_.repair_link(level, row);
+  CONFNET_AUDIT_HOOK(audit_design());
+  return touched;
+}
+
+// ---------------------------------------------------------------------------
+// DirectConferenceNetwork
+// ---------------------------------------------------------------------------
+
+namespace {
+std::vector<u32> dilation_capacity(const DilationProfile& dilation, u32 n) {
+  expects(dilation.n() == n, "dilation profile size mismatch");
+  std::vector<u32> caps(n + 1);
+  for (u32 l = 0; l <= n; ++l) caps[l] = dilation.channels(l);
+  return caps;
+}
+}  // namespace
+
+DirectConferenceNetwork::DirectConferenceNetwork(min::Kind kind, u32 n,
+                                                 DilationProfile dilation)
+    : FabricConferenceNetwork(kind, n, dilation_capacity(dilation, n)),
+      dilation_(std::move(dilation)) {}
+
+std::string DirectConferenceNetwork::name() const {
+  return "direct-" + std::string(min::kind_name(kind())) + "(" +
+         dilation_.label() + ")";
+}
+
+sw::GroupRealization DirectConferenceNetwork::realize(
+    u32 handle, std::vector<u32> members) const {
+  sw::GroupRealization g;
+  g.id = handle;
+  g.links = all_pairs_links(kind(), n(), members);
+  g.members = std::move(members);
+  return g;
+}
+
+void DirectConferenceNetwork::audit_design() const {
+  audit::check_direct_network(*this);
+}
+
 u32 DirectConferenceNetwork::current_level_load(u32 level) const {
   expects(level <= n(), "level out of range");
-  return state_.level_peak_load(level);
-}
-
-std::vector<u32> DirectConferenceNetwork::fail_link(u32 level, u32 row) {
-  auto touched = state_.fail_link(level, row);
-  CONFNET_AUDIT_HOOK(audit::check_direct_network(*this));
-  return touched;
-}
-
-std::vector<u32> DirectConferenceNetwork::repair_link(u32 level, u32 row) {
-  auto touched = state_.repair_link(level, row);
-  CONFNET_AUDIT_HOOK(audit::check_direct_network(*this));
-  return touched;
+  return state().level_peak_load(level);
 }
 
 // ---------------------------------------------------------------------------
@@ -238,15 +250,14 @@ std::vector<u32> DirectConferenceNetwork::repair_link(u32 level, u32 row) {
 // ---------------------------------------------------------------------------
 
 EnhancedCubeNetwork::EnhancedCubeNetwork(u32 n)
-    : net_(min::make_network(min::Kind::kIndirectCube, n)),
-      state_(net_, sw::FabricConfig{1, true, true}),
-      port_busy_(u32{1} << n, false) {}
+    : FabricConferenceNetwork(min::Kind::kIndirectCube, n,
+                              std::vector<u32>(n + 1, 1)) {}
 
 std::string EnhancedCubeNetwork::name() const { return "enhanced-cube"; }
 
-sw::GroupRealization EnhancedCubeNetwork::realize(u32 handle,
-                                                  std::vector<u32> members,
-                                                  EnhancedRealization real) {
+sw::GroupRealization EnhancedCubeNetwork::realize(
+    u32 handle, std::vector<u32> members) const {
+  EnhancedRealization real = enhanced_cube_realization(n(), members);
   sw::GroupRealization g;
   g.id = handle;
   g.links = std::move(real.links);
@@ -256,196 +267,71 @@ sw::GroupRealization EnhancedCubeNetwork::realize(u32 handle,
   return g;
 }
 
-std::optional<u32> EnhancedCubeNetwork::setup(
-    const std::vector<u32>& members) {
-  expects(members.size() >= 2, "conferences need at least two members");
-  for (u32 m : members) {
-    expects(m < size(), "member out of range");
-    if (port_busy_[m]) {
-      last_error_ = SetupError::kPortBusy;
-      return std::nullopt;
-    }
-  }
-  std::vector<u32> sorted = members;
-  std::sort(sorted.begin(), sorted.end());
-  EnhancedRealization real = enhanced_cube_realization(n(), sorted);
-  if (!state_.links_clear(real.links)) {
-    last_error_ = SetupError::kLinkFaulty;
-    return std::nullopt;
-  }
-  // The enhanced design keeps single-channel links; a conflict means the
-  // placement was not aligned (or the fabric is genuinely oversubscribed).
-  if (!state_.try_add(realize(next_handle_, std::move(sorted),
-                              std::move(real)))) {
-    last_error_ = SetupError::kLinkCapacity;
-    return std::nullopt;
-  }
-  const u32 handle = next_handle_++;
-  for (u32 m : state_.group(handle).members) port_busy_[m] = true;
-  CONFNET_AUDIT_HOOK(audit::check_enhanced_network(*this));
-  return handle;
-}
-
-void EnhancedCubeNetwork::teardown(u32 handle) {
-  expects(state_.contains(handle), "teardown of unknown conference handle");
-  for (u32 m : state_.group(handle).members) port_busy_[m] = false;
-  state_.remove(handle);
-  CONFNET_AUDIT_HOOK(audit::check_enhanced_network(*this));
-}
-
-bool EnhancedCubeNetwork::verify_delivery() const {
-  return state_.delivery_ok();
-}
-
-bool EnhancedCubeNetwork::verify_delivery_reference() const {
-  return verify_via_fabric(net_, state_);
-}
-
-bool EnhancedCubeNetwork::add_member(u32 handle, u32 port) {
-  expects(state_.contains(handle), "add_member on unknown handle");
-  expects(port < size(), "member out of range");
-  if (port_busy_[port]) {
-    last_error_ = SetupError::kPortBusy;
-    return false;
-  }
-  std::vector<u32> grown = with_member(state_.group(handle).members, port);
-  EnhancedRealization real = enhanced_cube_realization(n(), grown);
-  if (!state_.links_clear(real.links)) {
-    last_error_ = SetupError::kLinkFaulty;
-    return false;
-  }
-  // A grown conference may also RELEASE links: joining a member outside the
-  // old span raises the tap level, but within a span it only adds links.
-  // try_replace checks capacity on the gained links only.
-  if (!state_.try_replace(handle,
-                          realize(handle, std::move(grown), std::move(real)))) {
-    last_error_ = SetupError::kLinkCapacity;
-    return false;
-  }
-  port_busy_[port] = true;
-  CONFNET_AUDIT_HOOK(audit::check_enhanced_network(*this));
-  return true;
-}
-
-bool EnhancedCubeNetwork::remove_member(u32 handle, u32 port) {
-  expects(state_.contains(handle), "remove_member on unknown handle");
-  const std::vector<u32>& members = state_.group(handle).members;
-  if (!std::binary_search(members.begin(), members.end(), port)) return false;
-  if (members.size() <= 2) return false;  // close instead
-  std::vector<u32> shrunk = without_member(members, port);
-  EnhancedRealization real = enhanced_cube_realization(n(), shrunk);
-  // Shrinking never adds links under a fixed tap level; new-only links can
-  // only appear when the tap level drops, freeing more than it takes within
-  // the conference's own rows — so the unconditional swap is safe.
-  state_.replace(handle, realize(handle, std::move(shrunk), std::move(real)));
-  port_busy_[port] = false;
-  CONFNET_AUDIT_HOOK(audit::check_enhanced_network(*this));
-  return true;
-}
-
-const std::vector<u32>& EnhancedCubeNetwork::members_for(u32 handle) const {
-  expects(state_.contains(handle), "unknown conference handle");
-  return state_.group(handle).members;
+void EnhancedCubeNetwork::audit_design() const {
+  audit::check_enhanced_network(*this);
 }
 
 u32 EnhancedCubeNetwork::tap_level(u32 handle) const {
-  expects(state_.contains(handle), "unknown conference handle");
-  const sw::GroupRealization& g = state_.group(handle);
+  expects(state().contains(handle), "unknown conference handle");
+  const sw::GroupRealization& g = state().group(handle);
   ensures(!g.taps.empty(), "enhanced group must carry taps");
   return g.taps.front().tap_level;
-}
-
-std::vector<u32> EnhancedCubeNetwork::fail_link(u32 level, u32 row) {
-  auto touched = state_.fail_link(level, row);
-  CONFNET_AUDIT_HOOK(audit::check_enhanced_network(*this));
-  return touched;
-}
-
-std::vector<u32> EnhancedCubeNetwork::repair_link(u32 level, u32 row) {
-  auto touched = state_.repair_link(level, row);
-  CONFNET_AUDIT_HOOK(audit::check_enhanced_network(*this));
-  return touched;
 }
 
 }  // namespace confnet::conf
 
 namespace confnet::audit {
 
-namespace {
-
-/// Shared portion of the two design audits: member sets disjoint, busy-port
-/// bitmap == union of members, handles in range, and — via
-/// check_fabric_state — load/ownership accounting consistent with the
-/// stateless Fabric oracle.
-void check_design_state(const sw::FabricState& state,
-                        const std::vector<bool>& port_busy, conf::u32 n,
-                        conf::u32 next_handle, std::string_view sub) {
+void check_fabric_design(const conf::FabricConferenceNetwork& net) {
+  constexpr std::string_view kSub = "designs";
   using conf::u32;
-  const u32 N = u32{1} << n;
+  const sw::FabricState& state = net.state_;
+  const u32 N = net.size();
   std::vector<std::vector<u32>> member_sets;
   std::vector<bool> busy(N, false);
   state.for_each_group([&](const sw::GroupRealization& g) {
-    require(g.id < next_handle, sub, "conference handle from the future");
-    require(g.members.size() >= 2, sub, "active conference below two members");
+    require(g.id < net.next_handle_, kSub, "conference handle from the future");
+    require(g.members.size() >= 2, kSub, "active conference below two members");
     member_sets.push_back(g.members);
     for (u32 m : g.members) {
-      require(m < N, sub, "active member row out of range");
+      require(m < N, kSub, "active member row out of range");
       busy[m] = true;
     }
-    require(g.links.size() == static_cast<std::size_t>(n) + 1, sub,
+    require(g.links.size() == static_cast<std::size_t>(net.n()) + 1, kSub,
             "active link set has wrong level count");
+    // Deep shape check: the stored realization is exactly the design's
+    // recomputation from the stored members (relay taps included).
+    const sw::GroupRealization fresh = net.realize(g.id, g.members);
+    require(g.links == fresh.links, kSub,
+            "stored links diverge from the design's realization");
+    require(g.taps == fresh.taps, kSub,
+            "stored relay taps diverge from the design's realization");
   });
-  check_disjoint_memberships(member_sets, N, sub);
-  require(busy == port_busy, sub,
+  check_disjoint_memberships(member_sets, N, kSub);
+  require(busy == net.port_busy_, kSub,
           "busy-port bitmap is not the union of active members");
   // Both designs admit only within capacity, so the incremental overflow
   // counter must read zero on live state.
-  require(state.overflowing_links() == 0, sub,
+  require(state.overflowing_links() == 0, kSub,
           "admitted conferences exceed link channel capacity");
   check_fabric_state(state);
 }
 
-}  // namespace
-
 void check_direct_network(const conf::DirectConferenceNetwork& net) {
-  constexpr std::string_view kSub = "designs";
-  using conf::u32;
-  check_design_state(net.state_, net.port_busy_, net.n(), net.next_handle_,
-                     kSub);
-  for (u32 level = 0; level <= net.n(); ++level)
-    require(net.state_.capacity()[level] == net.dilation_.channels(level),
-            kSub, "fabric capacity diverges from the dilation profile");
-  // Deep shape check: the stored links are exactly the ALL_PAIRS
-  // subnetwork of the stored members, with no relay taps.
-  net.state_.for_each_group([&](const sw::GroupRealization& g) {
-    require(g.taps.empty(), kSub, "direct design must not carry relay taps");
-    require(g.links == conf::all_pairs_links(net.kind(), net.n(), g.members),
-            kSub, "stored links diverge from the ALL_PAIRS recomputation");
-  });
+  check_fabric_design(net);
+  for (conf::u32 level = 0; level <= net.n(); ++level)
+    require(net.state().capacity()[level] == net.dilation_.channels(level),
+            "designs", "fabric capacity diverges from the dilation profile");
 }
 
 void check_enhanced_network(const conf::EnhancedCubeNetwork& net) {
-  constexpr std::string_view kSub = "designs";
-  using conf::u32;
-  check_design_state(net.state_, net.port_busy_, net.n(), net.next_handle_,
-                     kSub);
-  std::vector<std::vector<std::vector<u32>>> group_links;
-  net.state_.for_each_group([&](const sw::GroupRealization& g) {
-    // The stored realization is exactly the recomputed one (taps included).
-    const conf::EnhancedRealization fresh =
-        conf::enhanced_cube_realization(net.n(), g.members);
-    require(g.taps.size() == g.members.size(), kSub,
-            "enhanced group must tap every member");
-    for (const auto& tap : g.taps)
-      require(tap.tap_level == fresh.tap_level, kSub,
-              "stored tap level diverges from the recomputed completion level");
-    require(g.links == fresh.links, kSub,
-            "stored links diverge from the enhanced-cube recomputation");
-    group_links.push_back(g.links);
-  });
+  check_fabric_design(net);
   // The paper's claim, machine-checked on live state: enhanced-design
   // conferences never share an interstage link.
-  check_link_disjoint(group_links, net.n() + 1, net.size(), kSub);
+  std::vector<std::vector<std::vector<conf::u32>>> group_links;
+  net.state().for_each_group(
+      [&](const sw::GroupRealization& g) { group_links.push_back(g.links); });
+  check_link_disjoint(group_links, net.n() + 1, net.size(), "designs");
 }
 
 }  // namespace confnet::audit

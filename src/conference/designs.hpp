@@ -1,4 +1,8 @@
-// The two conference-network designs under comparison.
+// The two conference-network designs under comparison. Both run on one
+// banyan-class fabric and share one control core, FabricConferenceNetwork:
+// setup, teardown, join, leave, fault handling and refusal causes are
+// defined once over a sw::FabricState. A design supplies only how a member
+// set is *realized* as links and relay taps, plus its own audit.
 //
 // DirectConferenceNetwork — "directly adopt a baseline, an omega, or an
 // indirect binary cube network": conferences are realized as ALL_PAIRS
@@ -153,12 +157,16 @@ class ConferenceNetworkBase {
   }
 };
 
-class DirectConferenceNetwork final : public ConferenceNetworkBase {
+/// The control core shared by the fabric-backed designs. Owns the fabric
+/// state and the busy-port bitmap and defines every mutation once; each
+/// admission checks, in order: busy port (kPortBusy), a live fault on the
+/// realization (kLinkFaulty), then channel capacity (kLinkCapacity).
+class FabricConferenceNetwork : public ConferenceNetworkBase {
  public:
-  DirectConferenceNetwork(min::Kind kind, u32 n, DilationProfile dilation);
-
   [[nodiscard]] u32 n() const noexcept override { return net_.n(); }
-  [[nodiscard]] std::string name() const override;
+  [[nodiscard]] min::Kind kind() const noexcept override {
+    return net_.kind();
+  }
   [[nodiscard]] std::optional<u32> setup(
       const std::vector<u32>& members) override;
   [[nodiscard]] SetupError last_error() const noexcept override {
@@ -173,15 +181,6 @@ class DirectConferenceNetwork final : public ConferenceNetworkBase {
   [[nodiscard]] bool add_member(u32 handle, u32 port) override;
   [[nodiscard]] bool remove_member(u32 handle, u32 port) override;
   [[nodiscard]] const std::vector<u32>& members_for(u32 handle) const override;
-
-  [[nodiscard]] const DilationProfile& dilation() const noexcept {
-    return dilation_;
-  }
-  [[nodiscard]] min::Kind kind() const noexcept override {
-    return net_.kind();
-  }
-  /// Highest channel load currently on any link of the level.
-  [[nodiscard]] u32 current_level_load(u32 level) const;
 
   [[nodiscard]] bool supports_faults() const noexcept override { return true; }
   [[nodiscard]] std::vector<u32> fail_link(u32 level, u32 row) override;
@@ -196,37 +195,58 @@ class DirectConferenceNetwork final : public ConferenceNetworkBase {
     return state_.group_survives(handle);
   }
 
+ protected:
+  /// `capacity` = channels per link on levels 0..n.
+  FabricConferenceNetwork(min::Kind kind, u32 n, std::vector<u32> capacity);
+
+  [[nodiscard]] const sw::FabricState& state() const noexcept {
+    return state_;
+  }
+
  private:
-  friend void audit::check_direct_network(const ::confnet::conf::DirectConferenceNetwork&);
+  friend void audit::check_fabric_design(
+      const ::confnet::conf::FabricConferenceNetwork&);
+
+  /// The design's realization of conference `handle` on sorted `members`.
+  [[nodiscard]] virtual sw::GroupRealization realize(
+      u32 handle, std::vector<u32> members) const = 0;
+  /// The design's full audit (run by every mutation under CONFNET_AUDIT).
+  virtual void audit_design() const = 0;
 
   min::Network net_;
-  DilationProfile dilation_;
   sw::FabricState state_;  // owns the active realizations + link loads
   std::vector<bool> port_busy_;
   u32 next_handle_ = 0;
   SetupError last_error_ = SetupError::kPortBusy;
 };
 
-class EnhancedCubeNetwork final : public ConferenceNetworkBase {
+class DirectConferenceNetwork final : public FabricConferenceNetwork {
+ public:
+  DirectConferenceNetwork(min::Kind kind, u32 n, DilationProfile dilation);
+
+  [[nodiscard]] std::string name() const override;
+  [[nodiscard]] const DilationProfile& dilation() const noexcept {
+    return dilation_;
+  }
+  /// Highest channel load currently on any link of the level.
+  [[nodiscard]] u32 current_level_load(u32 level) const;
+
+ private:
+  friend void audit::check_direct_network(const ::confnet::conf::DirectConferenceNetwork&);
+
+  /// ALL_PAIRS subnetwork of the members, no relay taps.
+  [[nodiscard]] sw::GroupRealization realize(
+      u32 handle, std::vector<u32> members) const override;
+  void audit_design() const override;
+
+  DilationProfile dilation_;
+};
+
+class EnhancedCubeNetwork final : public FabricConferenceNetwork {
  public:
   explicit EnhancedCubeNetwork(u32 n);
 
-  [[nodiscard]] u32 n() const noexcept override { return net_.n(); }
   [[nodiscard]] std::string name() const override;
-  [[nodiscard]] std::optional<u32> setup(
-      const std::vector<u32>& members) override;
-  [[nodiscard]] SetupError last_error() const noexcept override {
-    return last_error_;
-  }
-  void teardown(u32 handle) override;
-  [[nodiscard]] u32 active_count() const noexcept override {
-    return state_.group_count();
-  }
-  [[nodiscard]] bool verify_delivery() const override;
-  [[nodiscard]] bool verify_delivery_reference() const override;
-  [[nodiscard]] bool add_member(u32 handle, u32 port) override;
-  [[nodiscard]] bool remove_member(u32 handle, u32 port) override;
-  [[nodiscard]] const std::vector<u32>& members_for(u32 handle) const override;
 
   /// Mux tap level of an active conference (latency figure: a conference
   /// traverses tap_level stages instead of n).
@@ -236,33 +256,15 @@ class EnhancedCubeNetwork final : public ConferenceNetworkBase {
     return tap_level(handle);
   }
 
-  [[nodiscard]] min::Kind kind() const noexcept override {
-    return net_.kind();
-  }
-  [[nodiscard]] bool supports_faults() const noexcept override { return true; }
-  [[nodiscard]] std::vector<u32> fail_link(u32 level, u32 row) override;
-  std::vector<u32> repair_link(u32 level, u32 row) override;
-  [[nodiscard]] bool link_faulty(u32 level, u32 row) const override {
-    return state_.link_faulty(level, row);
-  }
-  [[nodiscard]] const min::FaultSet* faults() const noexcept override {
-    return &state_.faults();
-  }
-  [[nodiscard]] bool conference_survives(u32 handle) const override {
-    return state_.group_survives(handle);
-  }
-
  private:
   friend void audit::check_enhanced_network(const ::confnet::conf::EnhancedCubeNetwork&);
 
-  [[nodiscard]] static sw::GroupRealization realize(
-      u32 handle, std::vector<u32> members, EnhancedRealization real);
-
-  min::Network net_;
-  sw::FabricState state_;  // owns the active realizations + link loads
-  std::vector<bool> port_busy_;
-  u32 next_handle_ = 0;
-  SetupError last_error_ = SetupError::kPortBusy;
+  /// Enhanced-cube links up to the completion level, every member tapped
+  /// there. Single-channel links: a capacity conflict means the placement
+  /// was not aligned.
+  [[nodiscard]] sw::GroupRealization realize(
+      u32 handle, std::vector<u32> members) const override;
+  void audit_design() const override;
 };
 
 }  // namespace confnet::conf

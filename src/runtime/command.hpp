@@ -54,7 +54,7 @@ enum class CommandKind : std::uint8_t {
 
 /// Synchronous verdict of a submit call. `kQueueFull` is backpressure: the
 /// command was NOT enqueued and its completion will not run — the caller
-/// owns it again and may retry (or use Runtime::submit_blocking).
+/// owns it again and may retry (or use Runtime::submit_to_blocking).
 enum class SubmitStatus : std::uint8_t {
   kAccepted,   // enqueued; completion will run on the owner thread
   kQueueFull,  // bounded queue at capacity; command returned to the caller

@@ -21,6 +21,7 @@
 // conference/multiplicity.hpp cross-checkable against live traffic.
 #pragma once
 
+#include <cstdint>
 #include <optional>
 #include <vector>
 
@@ -47,6 +48,7 @@ struct GroupRealization {
   struct Tap {
     u32 output;
     u32 tap_level;
+    friend bool operator==(const Tap&, const Tap&) = default;
   };
   std::vector<Tap> taps;
 };
@@ -73,6 +75,33 @@ struct EvalReport {
     return overflows.empty() && capability_violations == 0;
   }
 };
+
+/// Throws unless `g` is well-formed on `net`: members non-empty, sorted and
+/// in range; n+1 link levels, each sorted and in range.
+void validate_group(const min::Network& net, const GroupRealization& g);
+
+/// What one group's propagation produces: the delivered member set at each
+/// of its outputs (order of GroupRealization::members) plus the fan-op
+/// accounting.
+struct PropagationResult {
+  std::vector<MemberSet> delivered;
+  std::uint64_t fan_in_ops = 0;
+  std::uint64_t fan_out_ops = 0;
+  std::uint64_t capability_violations = 0;
+};
+
+/// The set-based signal sweep for one group: a level-0 link carries its
+/// member's own signal, each used link mixes its used predecessors
+/// (MemberSet union), and members hear their relay tap or their level-n
+/// row. A link in `faults` (nullptr = healthy fabric) is signal-dead: it
+/// neither injects, mixes nor delivers, and no switch duplicates into it.
+/// Fan ops that a module lacking `fan_in` / `fan_out` would need count as
+/// capability violations. Both Fabric::evaluate and
+/// FabricState::propagate_reference run this one sweep.
+[[nodiscard]] PropagationResult propagate_group(const min::Network& net,
+                                                const GroupRealization& g,
+                                                const min::FaultSet* faults,
+                                                bool fan_in, bool fan_out);
 
 struct FabricConfig {
   /// Channels per physical link (dilation). 1 = plain network.

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <bit>
-#include <limits>
 #include <utility>
 
 #include "util/audit.hpp"
@@ -53,23 +52,6 @@ FabricState::FabricState(const min::Network& net, std::vector<u32> capacity,
     expects(c >= 1, "FabricState needs at least one channel per link");
 }
 
-void FabricState::validate_new_group(const GroupRealization& group) const {
-  const u32 N = net_.size();
-  const u32 n = net_.n();
-  expects(!group.members.empty(), "group has no members");
-  expects(group.links.size() == static_cast<std::size_t>(n) + 1,
-          "GroupRealization must carry n+1 link levels");
-  expects(std::is_sorted(group.members.begin(), group.members.end()),
-          "GroupRealization members must be sorted");
-  expects(group.members.back() < N, "member row out of range");
-  for (u32 level = 0; level <= n; ++level) {
-    const auto& rows = group.links[level];
-    expects(std::is_sorted(rows.begin(), rows.end()),
-            "GroupRealization link rows must be sorted");
-    for (u32 r : rows) expects(r < N, "link row out of range");
-  }
-}
-
 void FabricState::apply_load(const GroupRealization& group, bool add) {
   for (u32 level = 0; level < group.links.size(); ++level) {
     const u32 cap = capacity_[level];
@@ -111,7 +93,7 @@ u32 FabricState::occupy_slot(u32 id) {
 }
 
 CONFNET_HOT bool FabricState::try_add(GroupRealization group) {
-  validate_new_group(group);
+  validate_group(net_, group);
   expects(!contains(group.id), "group id already admitted");
   for (u32 m : group.members)
     expects(owner_[m] < 0, "groups must be pairwise disjoint");
@@ -136,7 +118,7 @@ CONFNET_HOT bool FabricState::try_replace(u32 id,
                                           GroupRealization group) {
   expects(contains(id), "replace of unknown group id");
   expects(group.id == id, "replacement must keep the group id");
-  validate_new_group(group);
+  validate_group(net_, group);
   const GroupRealization& old = slots_[slot_of_[id]].group;
 
   // The whole replacement realization must avoid the fault mask (not just
@@ -158,7 +140,7 @@ CONFNET_HOT bool FabricState::try_replace(u32 id,
 CONFNET_HOT void FabricState::replace(u32 id, GroupRealization group) {
   expects(contains(id), "replace of unknown group id");
   expects(group.id == id, "replacement must keep the group id");
-  validate_new_group(group);
+  validate_group(net_, group);
   Entry& entry = slots_[slot_of_[id]];
 
   for (u32 m : entry.group.members) owner_[m] = -1;
@@ -462,93 +444,8 @@ void FabricState::propagate(const Entry& entry) const {
 }
 
 PropagationResult FabricState::propagate_reference(u32 id) const {
-  const Entry& entry = entry_of(id);
-  const GroupRealization& g = entry.group;
-  const u32 n = net_.n();
-  const bool degraded = faults_.fault_count() != 0;
-  const auto dead = [&](u32 level, u32 row) {
-    return degraded && faults_.is_faulty(level, row);
-  };
-
-  // The pre-plane engine, verbatim: one MemberSet per occupied link,
-  // fan-in via set_union. Retained as the equivalence oracle.
-  std::vector<std::vector<MemberSet>> sig(n + 1);
-  for (u32 level = 0; level <= n; ++level)
-    sig[level].resize(g.links[level].size());
-
-  PropagationResult result;
-
-  // Injection: a level-0 link carries its member's own signal.
-  for (std::size_t i = 0; i < g.links[0].size(); ++i) {
-    const u32 row = g.links[0][i];
-    if (dead(0, row)) continue;
-    if (std::binary_search(g.members.begin(), g.members.end(), row))
-      sig[0][i] = MemberSet::single(row);
-  }
-
-  // Sweep forward: each used link mixes its used predecessors.
-  for (u32 level = 1; level <= n; ++level) {
-    for (std::size_t i = 0; i < g.links[level].size(); ++i) {
-      const u32 row = g.links[level][i];
-      if (dead(level, row)) continue;  // carries nothing downstream
-      const auto preds = net_.predecessors(level, row);
-      u32 feeding = 0;
-      for (u32 q : preds) {
-        const std::size_t pi = index_of(g.links[level - 1], q);
-        if (pi == static_cast<std::size_t>(-1)) continue;
-        if (sig[level - 1][pi].empty()) continue;
-        sig[level][i].combine(sig[level - 1][pi]);
-        ++feeding;
-      }
-      if (feeding == 2) {
-        ++result.fan_in_ops;
-        if (!fan_in_) ++result.capability_violations;
-      }
-    }
-  }
-
-  // Fan-out accounting: a used link feeding both its successors.
-  for (u32 level = 0; level < n; ++level) {
-    for (std::size_t i = 0; i < g.links[level].size(); ++i) {
-      if (sig[level][i].empty()) continue;
-      const u32 row = g.links[level][i];
-      const auto succs = net_.successors(level, row);
-      u32 fed = 0;
-      for (u32 q : succs) {
-        if (dead(level + 1, q)) continue;  // the switch cannot drive it
-        if (index_of(g.links[level + 1], q) != static_cast<std::size_t>(-1))
-          ++fed;
-      }
-      if (fed == 2) {
-        ++result.fan_out_ops;
-        if (!fan_out_) ++result.capability_violations;
-      }
-    }
-  }
-
-  // Delivery: relay taps when present, otherwise level-n member rows.
-  result.delivered.assign(g.members.size(), MemberSet{});
-  if (!g.taps.empty()) {
-    expects(g.taps.size() == g.members.size(),
-            "relay taps must cover every member");
-    for (const auto& tap : g.taps) {
-      const std::size_t mi = index_of(g.members, tap.output);
-      expects(mi != static_cast<std::size_t>(-1), "tap output is not a member");
-      expects(tap.tap_level <= n, "tap level out of range");
-      const std::size_t li = index_of(g.links[tap.tap_level], tap.output);
-      expects(li != static_cast<std::size_t>(-1),
-              "tap link is not part of the group's subnetwork");
-      result.delivered[mi] = sig[tap.tap_level][li];
-    }
-  } else {
-    for (std::size_t mi = 0; mi < g.members.size(); ++mi) {
-      const std::size_t li = index_of(g.links[n], g.members[mi]);
-      expects(li != static_cast<std::size_t>(-1),
-              "member output missing from level-n links");
-      result.delivered[mi] = sig[n][li];
-    }
-  }
-  return result;
+  return propagate_group(net_, entry_of(id).group, &faults_, fan_in_,
+                         fan_out_);
 }
 
 EvalReport FabricState::report() const {
@@ -585,11 +482,8 @@ void FabricState::cross_check() const {
   std::vector<std::vector<u32>> expected_load(n + 1, std::vector<u32>(N, 0));
   std::vector<int> expected_owner(N, -1);
   u32 expected_overflowing = 0;
-  std::vector<GroupRealization> groups;
-  groups.reserve(live_ids_.size());
   for (u32 id : live_ids_) {
     const Entry& entry = slots_[slot_of_[id]];
-    groups.push_back(entry.group);
     for (u32 level = 0; level <= n; ++level)
       for (u32 row : entry.group.links[level]) ++expected_load[level][row];
     for (u32 m : entry.group.members) {
@@ -630,9 +524,14 @@ void FabricState::cross_check() const {
     if (slot != kNoSlot) ++mapped;
   audit::require(mapped == live_ids_.size(), kSub,
                  "stale id->slot mappings outlive their groups");
-  for (u32 level = 0; level <= n; ++level)
-    for (u32 row = 0; row < N; ++row)
+  std::vector<u32> expected_max(n + 1, 0);
+  for (u32 level = 0; level <= n; ++level) {
+    for (u32 row = 0; row < N; ++row) {
+      expected_max[level] = std::max(expected_max[level],
+                                     expected_load[level][row]);
       if (expected_load[level][row] > capacity_[level]) ++expected_overflowing;
+    }
+  }
   audit::require(load_ == expected_load, kSub,
                  "incremental load matrix diverges from group recount");
   audit::require(owner_ == expected_owner, kSub,
@@ -645,23 +544,33 @@ void FabricState::cross_check() const {
   audit::require(faults_.count_consistent(), kSub,
                  "fault count diverges from the fault bitsets");
 
-  // Pin the cached SIMD-plane results (whatever backend is active) against
-  // the retained set-based path, per group: delivered sets, fan-op
-  // accounting, and the mask-row delivery probe.
-  for (u32 id : live_ids_) {
+  // One set-based sweep per group (propagate_group, the sweep
+  // Fabric::evaluate runs, on the same possibly degraded fabric) is the
+  // oracle for both the cached SIMD-plane results, whatever backend is
+  // active, and the assembled report().
+  const EvalReport actual = report();  // re-propagates every dirty entry
+  audit::require(actual.delivered.size() == live_ids_.size(), kSub,
+                 "group count diverges from the stateless oracle");
+  PropagationResult total;
+  for (std::size_t gi = 0; gi < live_ids_.size(); ++gi) {
+    const u32 id = live_ids_[gi];
     const Entry& entry = slots_[slot_of_[id]];
-    if (entry.dirty) propagate(entry);
+    CONFNET_AUDIT_HOOK(audit::check_group_realization(net_, entry.group));
     const PropagationResult ref = propagate_reference(id);
-    audit::require(entry.delivered.size() == ref.delivered.size(), kSub,
-                   "SIMD plane output count diverges from the set-based "
-                   "reference");
+    audit::require(entry.delivered.size() == ref.delivered.size() &&
+                       actual.delivered[gi].size() == ref.delivered.size(),
+                   kSub,
+                   "output count diverges from the set-based reference");
     bool ref_exact = true;
     for (std::size_t mi = 0; mi < ref.delivered.size(); ++mi) {
-      audit::require(
-          entry.delivered[mi].values() == ref.delivered[mi].values(), kSub,
-          "SIMD plane delivered signals diverge from the set-based "
-          "reference");
-      if (ref.delivered[mi].values() != entry.group.members) ref_exact = false;
+      const std::vector<u32>& heard = ref.delivered[mi].values();
+      audit::require(entry.delivered[mi].values() == heard, kSub,
+                     "SIMD plane delivered signals diverge from the set-based "
+                     "reference");
+      audit::require(actual.delivered[gi][mi].values() == heard, kSub,
+                     "incremental delivered signals diverge from the "
+                     "stateless oracle");
+      if (heard != entry.group.members) ref_exact = false;
     }
     audit::require(entry.fan_in_ops == ref.fan_in_ops &&
                        entry.fan_out_ops == ref.fan_out_ops &&
@@ -672,32 +581,18 @@ void FabricState::cross_check() const {
     audit::require(entry.delivered_exact == ref_exact, kSub,
                    "mask-row delivery probe diverges from the set-based "
                    "reference");
+    total.fan_in_ops += ref.fan_in_ops;
+    total.fan_out_ops += ref.fan_out_ops;
+    total.capability_violations += ref.capability_violations;
   }
-
-  // Full stateless evaluation with unconstrained channels: compares the
-  // capacity-independent quantities (delivered signals, fan ops) on the
-  // same (possibly degraded) fabric.
-  const Fabric oracle(
-      net_, FabricConfig{std::numeric_limits<u32>::max(), fan_in_, fan_out_});
-  const EvalReport expected = oracle.evaluate(groups, &faults_);
-  const EvalReport actual = report();
-  audit::require(actual.delivered.size() == expected.delivered.size(), kSub,
-                 "group count diverges from the stateless oracle");
-  for (std::size_t gi = 0; gi < groups.size(); ++gi)
-    for (std::size_t mi = 0; mi < groups[gi].members.size(); ++mi)
-      audit::require(actual.delivered[gi][mi].values() ==
-                         expected.delivered[gi][mi].values(),
-                     kSub,
-                     "incremental delivered signals diverge from the "
-                     "stateless oracle");
-  audit::require(actual.fan_in_ops == expected.fan_in_ops, kSub,
+  audit::require(actual.fan_in_ops == total.fan_in_ops, kSub,
                  "fan-in op count diverges from the stateless oracle");
-  audit::require(actual.fan_out_ops == expected.fan_out_ops, kSub,
+  audit::require(actual.fan_out_ops == total.fan_out_ops, kSub,
                  "fan-out op count diverges from the stateless oracle");
   audit::require(
-      actual.capability_violations == expected.capability_violations, kSub,
+      actual.capability_violations == total.capability_violations, kSub,
       "capability violation count diverges from the stateless oracle");
-  audit::require(actual.max_link_load == expected.max_link_load, kSub,
+  audit::require(actual.max_link_load == expected_max, kSub,
                  "per-level link-load maxima diverge from the stateless "
                  "oracle");
 }

@@ -27,10 +27,11 @@
 //     full-member mask — backend selected at runtime via util/simd.hpp
 //     (CONFNET_SIMD=scalar|avx2|neon overrides).
 //
-// The stateless engine stays the oracle: `cross_check()` re-evaluates
-// everything through `Fabric::evaluate` and throws on any divergence, and
-// additionally pins the SIMD plane results against the retained set-based
-// path (`propagate_reference`). CONFNET_AUDIT builds run it periodically
+// The set-based sweep stays the oracle: `cross_check()` re-propagates
+// every group once through `propagate_group` (fabric.hpp — the same sweep
+// `Fabric::evaluate` runs, exposed here as `propagate_reference`), pins
+// the cached SIMD plane results and the assembled `report()` against it,
+// and throws on any divergence. CONFNET_AUDIT builds run it periodically
 // from the mutation hooks (see audit::check_fabric_state).
 #pragma once
 
@@ -51,17 +52,6 @@ void check_fabric_state(const sw::FabricState& state);
 }
 
 namespace confnet::sw {
-
-/// What one group's propagation produces: the delivered member set at each
-/// of its outputs plus the fan-op accounting. Returned by the retained
-/// set-based oracle (`FabricState::propagate_reference`) so tests and
-/// benchmarks can pin the SIMD plane engine against it.
-struct PropagationResult {
-  std::vector<MemberSet> delivered;
-  std::uint64_t fan_in_ops = 0;
-  std::uint64_t fan_out_ops = 0;
-  std::uint64_t capability_violations = 0;
-};
 
 class FabricState {
  public:
@@ -169,10 +159,11 @@ class FabricState {
   /// matrix). Not a hot path.
   [[nodiscard]] EvalReport report() const;
 
-  /// Re-propagate group `id` through the retained set-based path — the
-  /// pre-SIMD `MemberSet`/set_union sweep, kept verbatim as the equivalence
-  /// oracle for the plane engine. Stateless with respect to the lazy
-  /// caches: never reads or writes Entry::delivered. Not a hot path.
+  /// Re-propagate group `id` through the set-based sweep
+  /// (`propagate_group` on this fabric's fault mask and fan capabilities),
+  /// the equivalence oracle for the plane engine. Stateless with respect to
+  /// the lazy caches: never reads or writes Entry::delivered. Not a hot
+  /// path.
   [[nodiscard]] PropagationResult propagate_reference(u32 id) const;
 
   /// Drop every group's cached propagation results (marks all entries
@@ -180,10 +171,11 @@ class FabricState {
   /// full re-propagation without mutating the fabric.
   void invalidate_signal_caches();
 
-  /// Full stateless re-evaluation through `Fabric::evaluate`; throws
-  /// audit::AuditError on any divergence from the incremental state. Also
-  /// pins every group's cached SIMD-plane results (delivered sets, fan
-  /// ops, delivered_exact) against `propagate_reference`.
+  /// Full stateless re-check; throws audit::AuditError on any divergence
+  /// from the incremental state. Recounts loads, ownership and overflows,
+  /// audits the slot tables, and runs the set-based sweep once per group to
+  /// pin both its cached SIMD-plane results (delivered sets, fan ops,
+  /// delivered_exact) and `report()`.
   void cross_check() const;
 
  private:
@@ -237,7 +229,6 @@ class FabricState {
     mutable std::uint64_t capability_violations = 0;
   };
 
-  void validate_new_group(const GroupRealization& group) const;
   void apply_load(const GroupRealization& group, bool add);
   void build_plan(const Entry& entry) const;
   void propagate(const Entry& entry) const;

@@ -52,6 +52,7 @@ class PortPlacer;
 class FastPortPlacer;
 class BuddyAllocator;
 class BitmapBuddyAllocator;
+class FabricConferenceNetwork;
 class DirectConferenceNetwork;
 class EnhancedCubeNetwork;
 struct SessionStats;
@@ -189,15 +190,18 @@ void check_waitqueue(const conf::WaitQueueManager& manager);
 /// expired or still pending, and the pending/ticket maps stay a bijection.
 void check_recovery(const conf::RecoveryCoordinator& recovery);
 
-/// Every active conference's stored links equal the recomputed ALL_PAIRS
-/// subnetwork, per-link load equals the sum over active conferences and
-/// respects the dilation profile, and the busy-port bitmap is exactly the
-/// union of members.
+/// Shared part of the design audits: member sets disjoint, the busy-port
+/// bitmap is exactly the union of members, no link over capacity, every
+/// stored realization (links and taps) equals the design's recomputed one,
+/// and the fabric state passes check_fabric_state.
+void check_fabric_design(const conf::FabricConferenceNetwork& net);
+
+/// check_fabric_design plus: the fabric's per-level capacity is the
+/// dilation profile.
 void check_direct_network(const conf::DirectConferenceNetwork& net);
 
-/// Enhanced design: stored realizations equal the recomputed enhanced-cube
-/// realization (tap level included), and active conferences are mutually
-/// link-disjoint on interstage levels — the paper's nonblocking claim.
+/// check_fabric_design plus: active conferences are mutually link-disjoint
+/// on interstage levels — the paper's nonblocking claim.
 void check_enhanced_network(const conf::EnhancedCubeNetwork& net);
 
 /// Cluster conservation law: admission counters cohere with the live

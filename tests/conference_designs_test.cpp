@@ -55,11 +55,16 @@ TEST(Direct, SetupTeardownRestoresState) {
 }
 
 TEST(Direct, RejectsBusyPorts) {
-  DirectConferenceNetwork net(Kind::kBaseline, 3,
-                              DilationProfile::full(3));
-  ASSERT_TRUE(net.setup({0, 1}).has_value());
-  EXPECT_FALSE(net.setup({1, 2}).has_value());
-  EXPECT_EQ(net.last_error(), SetupError::kPortBusy);
+  // Shared fabric-backed contract, so the enhanced design runs it too.
+  DirectConferenceNetwork direct(Kind::kBaseline, 3,
+                                 DilationProfile::full(3));
+  EnhancedCubeNetwork enhanced(3);
+  for (ConferenceNetworkBase* net :
+       std::initializer_list<ConferenceNetworkBase*>{&direct, &enhanced}) {
+    ASSERT_TRUE(net->setup({0, 1}).has_value()) << net->name();
+    EXPECT_FALSE(net->setup({1, 2}).has_value()) << net->name();
+    EXPECT_EQ(net->last_error(), SetupError::kPortBusy) << net->name();
+  }
 }
 
 TEST(Direct, FullDilationIsNonblockingForArbitraryPlacement) {
@@ -123,8 +128,10 @@ TEST(Direct, DeliveryCorrectUnderLoad) {
 }
 
 TEST(Direct, TeardownUnknownHandleThrows) {
-  DirectConferenceNetwork net(Kind::kOmega, 3, DilationProfile::full(3));
-  EXPECT_THROW(net.teardown(123), Error);
+  DirectConferenceNetwork direct(Kind::kOmega, 3, DilationProfile::full(3));
+  EnhancedCubeNetwork enhanced(3);
+  EXPECT_THROW(direct.teardown(123), Error);
+  EXPECT_THROW(enhanced.teardown(123), Error);
 }
 
 TEST(Enhanced, AlignedBlocksAlwaysFit) {

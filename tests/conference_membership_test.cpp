@@ -28,41 +28,64 @@ TEST(Membership, DirectAddThenRemoveRestoresLoads) {
 }
 
 TEST(Membership, AddBusyPortRefused) {
-  DirectConferenceNetwork net(Kind::kBaseline, 4, DilationProfile::full(4));
-  const auto h1 = net.setup({0, 1});
-  const auto h2 = net.setup({2, 3});
-  ASSERT_TRUE(h1 && h2);
-  EXPECT_FALSE(net.add_member(*h1, 2));
-  EXPECT_EQ(net.last_error(), SetupError::kPortBusy);
-  EXPECT_EQ(net.members_for(*h1), (std::vector<u32>{0, 1}));
+  DirectConferenceNetwork direct(Kind::kBaseline, 4, DilationProfile::full(4));
+  EnhancedCubeNetwork enhanced(4);
+  for (ConferenceNetworkBase* net :
+       std::initializer_list<ConferenceNetworkBase*>{&direct, &enhanced}) {
+    const auto h1 = net->setup({0, 1});
+    const auto h2 = net->setup({2, 3});
+    ASSERT_TRUE(h1 && h2) << net->name();
+    EXPECT_FALSE(net->add_member(*h1, 2)) << net->name();
+    EXPECT_EQ(net->last_error(), SetupError::kPortBusy) << net->name();
+    EXPECT_EQ(net->members_for(*h1), (std::vector<u32>{0, 1})) << net->name();
+  }
 }
 
 TEST(Membership, RemoveBelowTwoRefused) {
-  DirectConferenceNetwork net(Kind::kOmega, 4, DilationProfile::full(4));
-  const auto h = net.setup({5, 6});
-  ASSERT_TRUE(h.has_value());
-  EXPECT_FALSE(net.remove_member(*h, 5));
-  EXPECT_FALSE(net.remove_member(*h, 9));  // not a member
-  EXPECT_EQ(net.members_for(*h).size(), 2u);
+  DirectConferenceNetwork direct(Kind::kOmega, 4, DilationProfile::full(4));
+  EnhancedCubeNetwork enhanced(4);
+  for (ConferenceNetworkBase* net :
+       std::initializer_list<ConferenceNetworkBase*>{&direct, &enhanced}) {
+    const auto h = net->setup({5, 6});
+    ASSERT_TRUE(h.has_value()) << net->name();
+    EXPECT_FALSE(net->remove_member(*h, 5)) << net->name();
+    EXPECT_FALSE(net->remove_member(*h, 9)) << net->name();  // not a member
+    EXPECT_EQ(net->members_for(*h).size(), 2u) << net->name();
+  }
 }
 
 TEST(Membership, CapacityRefusalLeavesStateIntact) {
-  // d=1 cube with random-ish members: growing one conference into another's
-  // rows must fail atomically.
-  DirectConferenceNetwork net(Kind::kIndirectCube, 3,
-                              DilationProfile::uniform(3, 1));
-  const auto h1 = net.setup({0, 1});  // aligned pair: rows 0..1 only
-  const auto h2 = net.setup({6, 7});
-  ASSERT_TRUE(h1 && h2);
-  // Growing conference 1 to port 5 crosses into shared rows with {6,7}.
-  const bool grown = net.add_member(*h1, 5);
-  if (!grown) {
-    EXPECT_EQ(net.last_error(), SetupError::kLinkCapacity);
-    EXPECT_EQ(net.members_for(*h1), (std::vector<u32>{0, 1}));
-    EXPECT_TRUE(net.verify_delivery());
+  // Single-channel links: growing one conference into another's rows must
+  // fail atomically. Direct: d=1 cube with random-ish members. Enhanced:
+  // {5,6} is a misaligned placement, so its realization spills into the
+  // rows {0,1} grown by port 4 needs.
+  DirectConferenceNetwork direct(Kind::kIndirectCube, 3,
+                                 DilationProfile::uniform(3, 1));
+  EnhancedCubeNetwork enhanced(3);
+  struct Case {
+    ConferenceNetworkBase* net;
+    std::vector<u32> other;
+    u32 port;
+    bool must_refuse;
+  };
+  for (const Case& c : {Case{&direct, {6, 7}, 5, false},
+                        Case{&enhanced, {5, 6}, 4, true}}) {
+    ConferenceNetworkBase& net = *c.net;
+    const auto h1 = net.setup({0, 1});  // aligned pair: rows 0..1 only
+    const auto h2 = net.setup(c.other);
+    ASSERT_TRUE(h1 && h2) << net.name();
+    const bool grown = net.add_member(*h1, c.port);
+    if (c.must_refuse) {
+      EXPECT_FALSE(grown) << net.name();
+    }
+    if (!grown) {
+      EXPECT_EQ(net.last_error(), SetupError::kLinkCapacity) << net.name();
+      EXPECT_EQ(net.members_for(*h1), (std::vector<u32>{0, 1})) << net.name();
+      EXPECT_TRUE(net.verify_delivery()) << net.name();
+    }
+    // Either way the fabric stays consistent.
+    EXPECT_TRUE(net.verify_delivery()) << net.name();
   }
-  // Either way the fabric stays consistent.
-  EXPECT_TRUE(net.verify_delivery());
 }
 
 TEST(Membership, EnhancedJoinRaisesTapLevel) {

@@ -60,33 +60,41 @@ TEST(FaultAwareFabric, FailRepairKeepsIncrementalAndOracleAgreeing) {
 }
 
 TEST(FaultAwareFabric, AdmissionRefusesDeadWindow) {
-  DirectConferenceNetwork net(Kind::kOmega, 3, DilationProfile::full(3));
-  ASSERT_TRUE(net.fail_link(0, 0).empty());  // no active conference yet
+  DirectConferenceNetwork direct(Kind::kOmega, 3, DilationProfile::full(3));
+  EnhancedCubeNetwork enhanced(3);
+  for (ConferenceNetworkBase* net :
+       std::initializer_list<ConferenceNetworkBase*>{&direct, &enhanced}) {
+    ASSERT_TRUE(net->fail_link(0, 0).empty());  // no active conference yet
 
-  EXPECT_FALSE(net.setup({0, 1}).has_value());
-  EXPECT_EQ(net.last_error(), SetupError::kLinkFaulty);
-  EXPECT_EQ(net.active_count(), 0u);
+    EXPECT_FALSE(net->setup({0, 1}).has_value()) << net->name();
+    EXPECT_EQ(net->last_error(), SetupError::kLinkFaulty) << net->name();
+    EXPECT_EQ(net->active_count(), 0u);
 
-  const auto ok = net.setup({2, 3});  // avoids the dead injection link
-  ASSERT_TRUE(ok.has_value());
-  EXPECT_TRUE(net.conference_survives(*ok));
+    const auto ok = net->setup({2, 3});  // avoids the dead injection link
+    ASSERT_TRUE(ok.has_value()) << net->name();
+    EXPECT_TRUE(net->conference_survives(*ok));
 
-  (void)net.repair_link(0, 0);
-  EXPECT_TRUE(net.setup({0, 1}).has_value());
-  EXPECT_TRUE(net.verify_delivery());
+    (void)net->repair_link(0, 0);
+    EXPECT_TRUE(net->setup({0, 1}).has_value()) << net->name();
+    EXPECT_TRUE(net->verify_delivery()) << net->name();
+  }
 }
 
 TEST(FaultAwareFabric, JoinRefusedWhenGrownRealizationCrossesFault) {
   // The grown conference would have to inject at the dead port: add_member
   // must refuse and leave the conference untouched.
-  DirectConferenceNetwork net(Kind::kOmega, 3, DilationProfile::full(3));
-  const auto h = net.setup({2, 3});
-  ASSERT_TRUE(h.has_value());
-  ASSERT_TRUE(net.fail_link(0, 1).empty());
-  EXPECT_FALSE(net.add_member(*h, 1));
-  EXPECT_EQ(net.last_error(), SetupError::kLinkFaulty);
-  EXPECT_EQ(net.members_for(*h).size(), 2u);
-  EXPECT_TRUE(net.verify_delivery());
+  DirectConferenceNetwork direct(Kind::kOmega, 3, DilationProfile::full(3));
+  EnhancedCubeNetwork enhanced(3);
+  for (ConferenceNetworkBase* net :
+       std::initializer_list<ConferenceNetworkBase*>{&direct, &enhanced}) {
+    const auto h = net->setup({2, 3});
+    ASSERT_TRUE(h.has_value()) << net->name();
+    ASSERT_TRUE(net->fail_link(0, 1).empty());
+    EXPECT_FALSE(net->add_member(*h, 1)) << net->name();
+    EXPECT_EQ(net->last_error(), SetupError::kLinkFaulty) << net->name();
+    EXPECT_EQ(net->members_for(*h).size(), 2u) << net->name();
+    EXPECT_TRUE(net->verify_delivery()) << net->name();
+  }
 }
 
 TEST(FaultAwareFabric, ConnectivityRoundTripsToOne) {

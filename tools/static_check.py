@@ -142,11 +142,9 @@ AUDIT_CONTRACT: dict[str, list[str]] = {
     "RecoveryCoordinator": [
         "fail_link", "repair_link", "retry", "absorb", "on_origin_departed",
     ],
-    "DirectConferenceNetwork": [
-        "setup", "teardown", "add_member", "remove_member",
-        "fail_link", "repair_link",
-    ],
-    "EnhancedCubeNetwork": [
+    # Shared core of the fabric-backed designs; its hook runs the leaf
+    # design's full audit (check_direct_network / check_enhanced_network).
+    "FabricConferenceNetwork": [
         "setup", "teardown", "add_member", "remove_member",
         "fail_link", "repair_link",
     ],
