@@ -68,7 +68,7 @@ namespace confnet::cluster {
 struct ClusterConfig {
   u32 shards = 4;    // K fabrics; power of two keeps the flattened oracle
                      // a legal 2^(stages + log2 K) network
-  u32 workers = 1;   // runtime owner threads (shard i belongs to i % W)
+  u32 workers = 1;   // runtime worker threads (shard i is served by i % W)
   u32 stages = 6;    // per-shard fabric: N = 2^stages ports
   min::Kind kind = min::Kind::kIndirectCube;
   u32 dilation = 2;  // uniform interstage channels per shard fabric

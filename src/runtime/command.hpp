@@ -1,11 +1,12 @@
 // Command vocabulary of the concurrent admission runtime.
 //
-// Producers (API front ends, load generators, tests) talk to a shard's
-// worker thread exclusively through `runtime::Command` values pushed onto
-// the shard's bounded MPSC queue; the worker answers by fulfilling the
-// command's pooled `ResultSlot` with a `runtime::CommandResult` after the
-// command has been applied. No shard state is ever touched from a producer
-// thread.
+// Producers (API front ends, load generators, tests) talk to a shard
+// exclusively through `runtime::Command` values pushed onto the shard's
+// bounded MPSC queue; whichever thread holds the shard's execution lease (a
+// worker, or a producer applying its own synchronous call) answers by
+// fulfilling the command's pooled `ResultSlot` with a
+// `runtime::CommandResult` after the command has been applied. Shard state
+// is touched only under that lease.
 //
 // Shards run loss-mode admission (the paper's switch: a request is realized
 // now or refused), so an open is answered kServed or kRejected — never
@@ -14,8 +15,8 @@
 //
 // Thread-safety contract: Command and CommandResult are plain value types —
 // thread-compatible, externally synchronized by the queue that carries them
-// (a command is owned by the producer until try_push accepts it, then by
-// the owning worker until it fulfills the slot).
+// (a command is owned by the producer until the queue accepts it, then by
+// the lease holder that pops it until it fulfills the slot).
 #pragma once
 
 #include <cstdint>
@@ -56,14 +57,14 @@ enum class CommandKind : std::uint8_t {
 /// command was NOT enqueued and its completion will not run — the caller
 /// owns it again and may retry (or use Runtime::submit_to_blocking).
 enum class SubmitStatus : std::uint8_t {
-  kAccepted,   // enqueued; completion will run on the owner thread
+  kAccepted,   // enqueued; completion will run under the shard's lease
   kQueueFull,  // bounded queue at capacity; command returned to the caller
   kStopped,    // runtime stopped/stopping; completion ran with kRejectedStopped
 };
 
 /// How the command's execution ended.
 enum class CommandStatus : std::uint8_t {
-  kDone,             // applied by the owner thread; payload fields are valid
+  kDone,             // applied by the shard; payload fields are valid
   kRejectedStopped,  // never applied: the runtime stopped first
 };
 
@@ -73,12 +74,12 @@ struct OpenOutcome {
   std::optional<u32> session;  // set on kServed
 };
 
-/// What the owner thread reports back through the command's slot.
+/// What the shard reports back through the command's slot.
 struct CommandResult {
   CommandKind kind = CommandKind::kOpen;
   CommandStatus status = CommandStatus::kRejectedStopped;
   u32 shard = 0;
-  /// Owner-thread logical time at which the command was applied (commands
+  /// Shard logical time at which the command was applied (commands
   /// processed before it on this shard). Deterministic — never wall clock.
   u64 applied_at = 0;
 
@@ -109,7 +110,7 @@ struct Command {
   u32 row = 0;                   // kFailLink / kRepairLink
   std::vector<u32> batch_sizes;  // kOpenBatch
   /// Optional completion (Runtime::call_pooled / stage_call), fulfilled
-  /// exactly once: on the owner thread after the command is applied, or
+  /// exactly once: by the lease holder after the command is applied, or
   /// inline on the submitting thread with kRejectedStopped when the
   /// runtime refuses it. Never fulfilled for kQueueFull (the command never
   /// left the caller). The slot belongs to a ResultPool; the producer

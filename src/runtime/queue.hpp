@@ -1,11 +1,12 @@
 // Bounded multi-producer/single-consumer command queue.
 //
-// The only hand-off point between producer threads and a shard's owner
-// thread. Thread-safe: the ring state is guarded by the internal
-// util::Mutex (annotated, so Clang -Wthread-safety proves the locking);
-// producers block (push_wait) or bounce (try_push) when the bound is hit —
-// that is the runtime's backpressure — and the consumer drains in bursts
-// (pop_batch) so the per-command lock cost amortizes to ~1/burst.
+// The only hand-off point between producer threads and the thread holding
+// a shard's execution lease. Thread-safe: the ring state is guarded by the
+// internal util::Mutex (annotated, so Clang -Wthread-safety proves the
+// locking); producers block (push_wait) or bounce (try_push) when the
+// bound is hit — that is the runtime's backpressure — and the consumer
+// drains in bursts (pop_batch) so the per-command lock cost amortizes to
+// ~1/burst.
 //
 // Allocation discipline: storage is one ring of `capacity` slots allocated
 // at construction and recycled forever — the steady-state push/pop path

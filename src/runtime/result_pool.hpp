@@ -2,26 +2,30 @@
 // the runtime's one completion channel.
 //
 // A producer acquires a slot, hangs it on the command (`Command::slot`),
-// the owner thread fulfills it in place, and `PooledResult::take()` hands
-// the result back and recycles the slot. Every round trip sits on the
-// producer's critical path, so completions must not allocate: a per-call
-// callback or promise/future pair would cost heap allocations per command.
+// the shard's lease holder fulfills it in place, and
+// `PooledResult::take()` hands the result back and recycles the slot.
+// Every round trip sits on the producer's critical path, so completions
+// must not allocate: a per-call callback or promise/future pair would cost
+// heap allocations per command.
 // Steady-state churn allocates nothing — the pool grows only while the
 // free list is empty (cold), and every vector involved recycles capacity
 // (the `hot-alloc` static check covers acquire/release/fulfill).
 //
 // Thread-safety: internally synchronized. The free list is guarded by the
 // pool mutex; each slot carries its own mutex/condvar for the
-// producer/owner rendezvous. Slot addresses are stable for the pool's
+// producer/applier rendezvous. Slot addresses are stable for the pool's
 // lifetime (slots are held by unique_ptr), so a raw `ResultSlot*` stays
 // valid across the hand-off.
 //
 // Ownership protocol (see docs/THREADING.md): between acquire and fulfill
 // the slot is shared by exactly two parties — the producer holding the
-// PooledResult and the worker holding the Command. The worker's fulfill is
-// its last touch; the producer releases the slot back to the free list
-// from take() (or from ~PooledResult, which waits for fulfill first so a
-// recycled slot can never be fulfilled by a stale command).
+// PooledResult and the lease holder applying the Command. The two may be
+// one thread: a synchronous call applied on the producer's own thread
+// fulfills its slot before take() ever waits, so take() returns without
+// blocking. The fulfill is the applier's last touch; the producer releases
+// the slot back to the free list from take() (or from ~PooledResult, which
+// waits for fulfill first so a recycled slot can never be fulfilled by a
+// stale command).
 #pragma once
 
 #include <cstddef>
@@ -46,9 +50,10 @@ class ResultSlot {
   ResultSlot(const ResultSlot&) = delete;
   ResultSlot& operator=(const ResultSlot&) = delete;
 
-  /// Owner-thread side: publish the result and wake the producer. Called
-  /// exactly once per acquire (by the worker after apply, or inline by the
-  /// submit path on kRejectedStopped).
+  /// Applier side: publish the result and wake the producer. Called
+  /// exactly once per acquire (by the lease holder after apply — possibly
+  /// the producer itself — or inline by the submit path on
+  /// kRejectedStopped).
   CONFNET_HOT void fulfill(CommandResult&& result) {
     {
       util::MutexLock lock(mu_);

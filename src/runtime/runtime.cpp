@@ -11,7 +11,7 @@ Runtime::Runtime(const RuntimeConfig& config)
   expects(config.shards > 0, "Runtime needs at least one shard");
   expects(config.workers > 0, "Runtime needs at least one worker");
   expects(config.workers <= config.shards,
-                "more workers than shards would leave idle owners");
+                "more workers than shards would leave idle workers");
   shards_.reserve(config.shards);
   for (u32 i = 0; i < config.shards; ++i)
     shards_.push_back(std::make_unique<Shard>(i, config.shard));
@@ -53,6 +53,10 @@ void Runtime::stop() {
   // (3)+(4) Workers drain, publish, exit; we join.
   for (auto& w : workers_)
     if (w->thread.joinable()) w->thread.join();
+  // (5) A producer may still hold a shard's lease, draining what the
+  // workers could not lease; the queues are closed, so this watermark is
+  // final and every command is applied and published once it is reached.
+  for (auto& s : shards_) s->wait_published(s->submitted());
 }
 
 void Runtime::drain() {
@@ -78,11 +82,15 @@ SubmitStatus Runtime::submit_to_blocking(u32 shard, Command&& cmd) {
 }
 
 PooledResult Runtime::call_pooled(u32 shard, Command&& cmd) {
+  expects(shard < shards_.size(), "call_pooled: shard out of range");
   ResultSlot* slot = pool_.acquire();
   cmd.slot = slot;
-  // A refused submit fulfills the slot inline (kRejectedStopped), so the
-  // handle always completes.
-  submit_to_blocking(shard, std::move(cmd));
+  // Apply on the calling thread when the shard's lease is free; otherwise
+  // its holder drains the command. A refused submit fulfills the slot
+  // inline (kRejectedStopped), so the handle always completes.
+  Shard& s = *shards_[shard];
+  if (s.submit_blocking(std::move(cmd)) == SubmitStatus::kAccepted)
+    (void)s.try_process();
   return PooledResult(&pool_, slot);
 }
 
@@ -95,25 +103,38 @@ PooledResult Runtime::stage_call(CommandStage& stage, u32 shard,
 }
 
 SubmitStatus Runtime::submit_stage(CommandStage& stage) {
-  stage.wake_.assign(workers_n_, 0);
+  // A burst on one shard is a synchronous call and runs on the caller; a
+  // burst over several shards is handed to their workers, each woken once.
+  bool one_shard = true;
+  for (const auto& staged : stage.staged_)
+    one_shard = one_shard && staged.first == stage.staged_.front().first;
+  if (!one_shard) stage.wake_.assign(workers_n_, 0);
   SubmitStatus verdict = SubmitStatus::kAccepted;
   for (auto& [shard, cmd] : stage.staged_) {
     expects(shard < shards_.size(), "submit_stage: shard out of range");
-    SubmitStatus st = shards_[shard]->submit(std::move(cmd));
+    Shard& s = *shards_[shard];
+    SubmitStatus st = s.submit(std::move(cmd));
     if (st == SubmitStatus::kQueueFull) {
-      // The queue is full and its worker may be parked (wakes are
-      // deferred to the end of the flush) — wake it before blocking for
-      // space, or the flush would deadlock against its own deferral.
-      wake(worker_of(shard));
-      st = shards_[shard]->submit_blocking(std::move(cmd));
+      // Nothing applies what this flush already queued before it ends
+      // (the drain and the wakes come last): start that now, then block
+      // for space.
+      if (one_shard)
+        (void)s.try_process();
+      else
+        wake(worker_of(shard));
+      st = s.submit_blocking(std::move(cmd));
     }
-    if (st == SubmitStatus::kAccepted)
-      stage.wake_[worker_of(shard)] = 1;
-    else
+    if (st != SubmitStatus::kAccepted)
       verdict = SubmitStatus::kStopped;
+    else if (!one_shard)
+      stage.wake_[worker_of(shard)] = 1;
   }
-  for (u32 w = 0; w < workers_n_; ++w)
-    if (stage.wake_[w] != 0) wake(w);
+  if (!one_shard) {
+    for (u32 w = 0; w < workers_n_; ++w)
+      if (stage.wake_[w] != 0) wake(w);
+  } else if (!stage.staged_.empty()) {
+    (void)shards_[stage.staged_.front().first]->try_process();
+  }
   stage.staged_.clear();
   return verdict;
 }
@@ -158,7 +179,7 @@ void Runtime::worker_loop(u32 w) {
   Worker& me = *workers_[w];
   for (;;) {
     std::size_t applied = 0;
-    for (u32 s : me.shard_ids) applied += shards_[s]->process_available();
+    for (u32 s : me.shard_ids) applied += shards_[s]->try_process();
     if (applied != 0) continue;  // re-scan: work may have landed meanwhile
     bool stopping = false;
     {
@@ -175,8 +196,8 @@ void Runtime::worker_loop(u32 w) {
     }
     if (!stopping) continue;
     // Queues were closed before the stop flag was set, so one more drain
-    // sees everything that was ever accepted.
-    for (u32 s : me.shard_ids) shards_[s]->process_available();
+    // (here, or by whoever holds a lease) sees everything ever accepted.
+    for (u32 s : me.shard_ids) (void)shards_[s]->try_process();
     return;
   }
 }

@@ -2,13 +2,19 @@
 //
 // A Runtime owns S loss-mode shards (each a complete fabric + admission +
 // recovery control plane, see shard.hpp) and W worker threads; shard i is
-// owned by worker i % W, so every shard has exactly one owner thread for
-// its whole life and varying W changes only how shards are packed onto
-// threads — never per-shard outcomes. Producers name the target shard
-// explicitly (which shard a global port lives on is cluster::PortMap's
-// business, not the runtime's) and get results through one completion
-// channel: a pooled ResultSlot, hung on the command by call_pooled or
-// stage_call. A command submitted without a slot is fire-and-forget.
+// served by worker i % W. Whoever applies a shard's commands holds that
+// shard's execution lease, so at any moment at most one thread is inside
+// a shard: a synchronous call (call_pooled, or a submit_stage burst on one
+// shard) applies on the calling thread when the lease is free and leaves
+// its command to the current holder otherwise; fire-and-forget submits
+// (submit_to, submit_to_blocking) and bursts over several shards wake the
+// shards' workers instead. Per-shard FIFO holds whichever thread applies,
+// so varying W — or who held the lease — never changes per-shard outcomes.
+// Producers name the target shard explicitly (which shard a global port
+// lives on is cluster::PortMap's business, not the runtime's) and get
+// results through one completion channel: a pooled ResultSlot, hung on
+// the command by call_pooled or stage_call. A command submitted without a
+// slot is fire-and-forget.
 //
 // Thread-safety contract: submit/call_pooled/stage_call/submit_stage/
 // snapshot/drain are thread-safe after start() (a CommandStage itself is
@@ -20,8 +26,10 @@
 // Shutdown ordering (stop): (1) close every command queue — new submits are
 // answered inline with kRejectedStopped, nothing is silently dropped;
 // (2) set each worker's stop flag and wake it; (3) each worker drains what
-// its queues already accepted, publishes final stats, and exits; (4) join.
-// Loss-mode shards schedule no retries, so nothing outlives the drain.
+// its queues already accepted, publishes final stats, and exits; (4) join;
+// (5) wait until every shard has published its final accept count, which
+// covers a producer still draining under a lease. Loss-mode shards
+// schedule no retries, so nothing outlives the drain.
 #pragma once
 
 #include <atomic>
@@ -45,15 +53,15 @@ namespace confnet::runtime {
 /// Whole-runtime construction knobs.
 struct RuntimeConfig {
   u32 shards = 4;       // independent fabrics (fixed for a workload)
-  u32 workers = 1;      // owner threads; shard i belongs to worker i % W
+  u32 workers = 1;      // worker threads; shard i is served by worker i % W
   ShardConfig shard{};  // applied to every shard (seed offset by index)
 };
 
 /// Producer-side staging buffer: collect a burst of commands, then hand
-/// the whole burst to Runtime::submit_stage — every owning worker is woken
-/// once per flush instead of once per command. Thread-compatible: one
-/// producer owns a stage; the backing vectors recycle their capacity
-/// across flushes, so steady-state staging allocates nothing.
+/// the whole burst to Runtime::submit_stage, which queues all of it before
+/// applying any of it. Thread-compatible: one producer owns a stage; the
+/// backing vectors recycle their capacity across flushes, so steady-state
+/// staging allocates nothing.
 class CommandStage {
  public:
   CONFNET_HOT void add(u32 shard, Command&& cmd) {
@@ -82,10 +90,12 @@ class Runtime {
   // --- lifecycle: externally synchronized (one controller thread) ---------
 
   /// Spawn the worker threads. Must be called exactly once before any
-  /// submit; commands submitted before start() would sit unprocessed.
+  /// submit; fire-and-forget commands submitted before start() would sit
+  /// unprocessed.
   void start();
 
-  /// Close queues, drain accepted commands, join the workers. Idempotent.
+  /// Close queues, drain accepted commands, join the workers, and wait
+  /// until every accepted command is applied and published. Idempotent.
   /// After stop(), submits are rejected inline with kRejectedStopped
   /// (never lost: a slot on the command is still fulfilled).
   void stop();
@@ -96,16 +106,19 @@ class Runtime {
 
   // --- submission: any thread, after start() ------------------------------
 
-  /// Route to an explicit shard. See Shard::submit for the verdicts.
+  /// Route to an explicit shard and wake its worker, which applies the
+  /// command. See Shard::submit for the verdicts.
   SubmitStatus submit_to(u32 shard, Command&& cmd);
 
   /// Same, but blocks instead of returning kQueueFull.
   SubmitStatus submit_to_blocking(u32 shard, Command&& cmd);
 
-  /// Allocation-free call: hangs a recycled ResultPool slot on the command
-  /// and submits (blocking on a full queue). The returned handle always
-  /// completes — with kRejectedStopped when the runtime refused the
-  /// command. Steady-state churn through this path allocates nothing.
+  /// Allocation-free call: hangs a recycled ResultPool slot on the command,
+  /// submits it (blocking on a full queue) and applies it on the calling
+  /// thread if the shard's lease is free; otherwise the lease holder
+  /// applies it. No worker is woken. The returned handle always completes
+  /// — with kRejectedStopped when the runtime refused the command.
+  /// Steady-state churn through this path allocates nothing.
   [[nodiscard]] PooledResult call_pooled(u32 shard, Command&& cmd);
 
   /// Stage an allocation-free call: hangs a recycled slot on the command
@@ -115,13 +128,16 @@ class Runtime {
   [[nodiscard]] PooledResult stage_call(CommandStage& stage, u32 shard,
                                         Command&& cmd);
 
-  /// Flush a staged burst: every command is submitted to its shard (a full
-  /// queue wakes that worker, then blocks for space), and each worker that
-  /// received work is woken exactly once at the end — one notify per burst
-  /// instead of one per push. Per-shard submission order is the stage's
-  /// add order. Returns kAccepted when every command was enqueued,
-  /// kStopped when any was answered inline with kRejectedStopped (the rest
-  /// still went through). The stage is left empty, capacity retained.
+  /// Flush a staged burst: every command is queued on its shard first. A
+  /// burst on one shard is then drained on the calling thread (by the
+  /// lease holder if the lease is held elsewhere), like call_pooled; a
+  /// burst over several shards is left to their workers, each woken once
+  /// at the end of the flush. A full queue is drained (one shard) or its
+  /// worker woken (several) before blocking for space. Per-shard
+  /// submission order is the stage's add order. Returns kAccepted when
+  /// every command was enqueued, kStopped when any was answered inline with
+  /// kRejectedStopped (the rest still went through). The stage is left
+  /// empty, capacity retained.
   SubmitStatus submit_stage(CommandStage& stage);
 
   // --- observability: any thread ------------------------------------------
@@ -146,7 +162,7 @@ class Runtime {
   void dump_trace_jsonl(std::ostream& os) const;
 
   /// Direct shard peek for tests. Producer-side methods are always safe;
-  /// owner-side state only after stop().
+  /// lease-side state only after stop().
   [[nodiscard]] Shard& shard(u32 index) { return *shards_[index]; }
   [[nodiscard]] const Shard& shard(u32 index) const {
     return *shards_[index];

@@ -68,6 +68,27 @@ void Shard::reject_inline(Command& cmd) {
   cmd.slot->fulfill(std::move(result));
 }
 
+std::size_t Shard::try_process() {
+  std::size_t applied = 0;
+  // The re-check after release takes the queue mutex, which orders it
+  // against every push: a push it misses finds the lease free (the release
+  // store precedes that unlock), so its producer drains the command itself.
+  do {
+    bool idle = false;
+    if (!leased_.compare_exchange_strong(idle, true,
+                                         std::memory_order_acquire,
+                                         std::memory_order_relaxed))
+      break;  // the holder's re-check below will see what we pushed
+    // Released at the end of each pass — an exception from apply included.
+    struct Release {
+      std::atomic<bool>& lease;
+      ~Release() { lease.store(false, std::memory_order_release); }
+    } release{leased_};
+    applied += process_available();
+  } while (queue_.size() != 0);
+  return applied;
+}
+
 std::size_t Shard::process_available() {
   std::size_t applied = 0;
   for (;;) {

@@ -9,18 +9,23 @@
 // repack of link-fault victims (a victim comes back under a fresh session
 // id inside the fail command, or is dropped there).
 //
-// Thread-safety contract: thread-confined to owner. Every mutable control
-// plane member is touched by exactly one worker thread (the shard's owner);
-// producers interact only through submit()/submit_blocking() (which touch
+// Thread-safety contract: thread-confined to the lease holder. Every
+// mutable control plane member is touched only by the thread that holds
+// the shard's execution lease (an atomic flag taken by try_process): a
+// worker draining its shards, or a producer applying its own synchronous
+// call on the spot. The lease changes hands through an acquire/release
+// pair, so each holder sees everything the previous one wrote. Producers
+// otherwise interact only through submit()/submit_blocking() (which touch
 // nothing but the internal thread-safe queue) and through snapshot()/
 // wait_published() (which read the published stats copy under its own
 // mutex). The static_check `runtime-owner` rule enforces that every member
 // here is either CONFNET_GUARDED_BY a mutex or tagged with its owner.
 //
 // Determinism: outcomes depend only on the per-shard command sequence and
-// the shard's seed — never on burst boundaries, worker count, or wall-clock
-// timing. Bursts amortize queue locking; they do not reorder or coalesce
-// commands (batched admission rides kOpenBatch, which the *producer* forms).
+// the shard's seed — never on burst boundaries, worker count, which thread
+// holds the lease, or wall-clock timing. Bursts amortize queue locking;
+// they do not reorder or coalesce commands (batched admission rides
+// kOpenBatch, which the *producer* forms).
 #pragma once
 
 #include <atomic>
@@ -89,10 +94,18 @@ class Shard {
   /// try_push bounces so far (kQueueFull verdicts). Thread-safe.
   [[nodiscard]] u64 submit_bounced() const { return queue_.bounced(); }
 
-  // --- owner side: exactly one worker thread -----------------------------
+  // --- execution side: any thread, one at a time --------------------------
+
+  /// Take the execution lease and drain the queue; returns how many
+  /// commands were applied (0 when another thread holds the lease). After
+  /// releasing the lease the queue is checked once more, so a command
+  /// pushed while the lease was held is drained by the holder — a thread
+  /// that loses the race never has to wake anyone. Thread-safe.
+  std::size_t try_process();
 
   /// Drain and apply every queued command in bursts; returns how many were
-  /// applied. Publishes stats at each burst boundary. Owner thread only.
+  /// applied. Publishes stats at each burst boundary. Lease holder only —
+  /// or the sole user of a Shard that no Runtime drives.
   std::size_t process_available();
 
   // --- snapshot side: any thread ------------------------------------------
@@ -106,13 +119,13 @@ class Shard {
   /// published). Thread-safe.
   void wait_published(u64 watermark) const;
 
-  // --- post-join: owner thread finished -----------------------------------
+  // --- post-stop: no lease holder left -----------------------------------
 
-  /// The trace ring. Reading it is legal only after the owner thread has
-  /// been joined (Runtime::stop), or from the owner thread itself.
+  /// The trace ring. Reading it is legal only after Runtime::stop, or from
+  /// the lease holder itself.
   [[nodiscard]] const ShardTrace& trace() const { return trace_; }
 
-  /// Control plane peek for tests/verification. Owner thread or post-join.
+  /// Control plane peek for tests/verification. Lease holder or post-stop.
   [[nodiscard]] const conf::WaitQueueManager& wait() const { return wait_; }
   [[nodiscard]] const conf::RecoveryCoordinator& recovery() const {
     return recovery_;
@@ -132,14 +145,14 @@ class Shard {
   const u32 index_;  // runtime-owner: immutable
 
   // Control plane: one fabric and its admission/recovery stack.
-  conf::DirectConferenceNetwork network_;  // runtime-owner: worker
-  conf::WaitQueueManager wait_;            // runtime-owner: worker
-  conf::RecoveryCoordinator recovery_;     // runtime-owner: worker
-  util::Rng rng_;                          // runtime-owner: worker
-  u64 now_ = 0;                            // runtime-owner: worker
-  ShardStats stats_;                       // runtime-owner: worker
-  ShardTrace trace_;                       // runtime-owner: worker
-  std::vector<Command> burst_;             // runtime-owner: worker
+  conf::DirectConferenceNetwork network_;  // runtime-owner: lease
+  conf::WaitQueueManager wait_;            // runtime-owner: lease
+  conf::RecoveryCoordinator recovery_;     // runtime-owner: lease
+  util::Rng rng_;                          // runtime-owner: lease
+  u64 now_ = 0;                            // runtime-owner: lease
+  ShardStats stats_;                       // runtime-owner: lease
+  ShardTrace trace_;                       // runtime-owner: lease
+  std::vector<Command> burst_;             // runtime-owner: lease
 
   // Hand-off points (internally synchronized).
   BoundedMpscQueue<Command> queue_;  // runtime-owner: queue
@@ -147,6 +160,7 @@ class Shard {
   mutable util::CondVar pub_cv_;     // runtime-owner: lock
   ShardStats published_ CONFNET_GUARDED_BY(pub_mu_);
   std::atomic<u64> rejected_stopped_{0};  // runtime-owner: atomic
+  std::atomic<bool> leased_{false};       // runtime-owner: atomic
 };
 
 }  // namespace confnet::runtime

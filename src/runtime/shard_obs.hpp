@@ -5,16 +5,17 @@
 // updated shared atomics per command. The runtime therefore stripes its
 // observability by shard:
 //
-//   * `ShardStats` — plain (non-atomic) counters accumulated by the owner
-//     thread only (thread-confined to owner). At burst boundaries the owner
-//     copies them into a published snapshot under a per-shard mutex that
-//     only snapshot readers ever contend on, so steady-state accounting is
-//     contention-free and every published snapshot is internally consistent
-//     (the burst-boundary identities of `check()` hold).
+//   * `ShardStats` — plain (non-atomic) counters accumulated by the shard's
+//     lease holder only (thread-confined to the lease holder). At burst
+//     boundaries the holder copies them into a published snapshot under a
+//     per-shard mutex that only snapshot readers ever contend on, so
+//     steady-state accounting is contention-free and every published
+//     snapshot is internally consistent (the burst-boundary identities of
+//     `check()` hold).
 //   * `ShardTrace` — a fixed ring of trace records written lock-free by the
-//     owner thread (thread-confined to owner); reading it is legal only
-//     after the owner thread has been joined (Runtime::stop), which is when
-//     dump_jsonl serializes it. Mirrors the obs::Tracer JSONL shape so the
+//     lease holder (thread-confined to the lease holder); reading it is
+//     legal only after Runtime::stop, which is when dump_jsonl serializes
+//     it. Mirrors the obs::Tracer JSONL shape so the
 //     same tooling reads both.
 //
 // Aggregation into the process-wide obs::Registry happens once per
@@ -31,7 +32,7 @@
 
 namespace confnet::runtime {
 
-/// Cumulative per-shard accounting, maintained by the owner thread and
+/// Cumulative per-shard accounting, maintained by the lease holder and
 /// published at burst boundaries. All fields count since start().
 struct ShardStats {
   u64 commands = 0;        // commands applied (sum of the per-kind counts)
@@ -57,7 +58,7 @@ struct ShardStats {
   u64 max_queue_depth = 0;  // deepest the command queue got at drain time
   u64 completed = 0;       // commands fully applied (drain watermark)
   u32 active_sessions = 0;
-  u64 logical_time = 0;    // owner clock: commands applied so far
+  u64 logical_time = 0;    // shard clock: commands applied so far
 
   /// Burst-boundary identities every published snapshot satisfies.
   /// Returns false (never throws) so tests can assert on live snapshots.
@@ -75,14 +76,14 @@ struct ShardStats {
 /// One runtime trace record; `name` points at a string literal.
 struct ShardTraceRecord {
   u64 seq = 0;        // per-shard append order
-  u64 time = 0;       // owner logical clock (commands applied)
+  u64 time = 0;       // shard logical clock (commands applied)
   const char* name = "";
   double value = 0.0;
 };
 
-/// Fixed-capacity trace ring, thread-confined to the shard's owner thread.
+/// Fixed-capacity trace ring, thread-confined to the shard's lease holder.
 /// capacity 0 disables recording (the record path is then one branch).
-/// dump_jsonl may only be called after the owner thread is joined.
+/// dump_jsonl may only be called after Runtime::stop.
 class ShardTrace {
  public:
   explicit ShardTrace(std::size_t capacity) : capacity_(capacity) {
@@ -108,15 +109,15 @@ class ShardTrace {
   [[nodiscard]] bool enabled() const noexcept { return capacity_ > 0; }
 
   /// One JSON object per line, oldest surviving record first, each tagged
-  /// with `shard`. Caller must have joined the owner thread.
+  /// with `shard`. Caller must have stopped the runtime.
   void dump_jsonl(std::ostream& os, u32 shard) const;
 
  private:
   const std::size_t capacity_;          // runtime-owner: immutable
-  std::vector<ShardTraceRecord> ring_;  // runtime-owner: worker
-  std::size_t head_ = 0;                // runtime-owner: worker
-  u64 next_seq_ = 0;                    // runtime-owner: worker
-  u64 dropped_ = 0;                     // runtime-owner: worker
+  std::vector<ShardTraceRecord> ring_;  // runtime-owner: lease
+  std::size_t head_ = 0;                // runtime-owner: lease
+  u64 next_seq_ = 0;                    // runtime-owner: lease
+  u64 dropped_ = 0;                     // runtime-owner: lease
 };
 
 /// Point-in-time view of the whole runtime: per-shard published snapshots

@@ -78,18 +78,26 @@ u32 FabricState::occupy_slot(u32 id) {
     slot_gen_.push_back(0);
   }
   ++slot_gen_[slot];
-  if (id >= slot_of_.size()) slot_of_.resize(id + 1, kNoSlot);
-  slot_of_[id] = slot;
-  // Keep live_ids_ sorted; control-plane ids are monotone, so the common
-  // case is a cheap append.
-  if (live_ids_.empty() || live_ids_.back() < id) {
-    live_ids_.push_back(id);
-  } else {
-    live_ids_.insert(
-        std::lower_bound(live_ids_.begin(), live_ids_.end(), id), id);
-  }
+  // Keep live_ sorted; control-plane ids are monotone, so the common case
+  // is a cheap append.
+  if (live_.empty() || live_.back().id < id)
+    live_.push_back({id, slot});
+  else
+    live_.insert(live_at(id), {id, slot});
   slots_[slot].id = id;
   return slot;
+}
+
+std::vector<FabricState::Live>::const_iterator FabricState::live_at(
+    u32 id) const {
+  return std::lower_bound(
+      live_.begin(), live_.end(), id,
+      [](const Live& l, u32 key) { return l.id < key; });
+}
+
+u32 FabricState::slot_of(u32 id) const {
+  const auto it = live_at(id);
+  return it != live_.end() && it->id == id ? it->slot : kNoSlot;
 }
 
 CONFNET_HOT bool FabricState::try_add(GroupRealization group) {
@@ -116,10 +124,11 @@ CONFNET_HOT bool FabricState::try_add(GroupRealization group) {
 // static_check: allow(audit-hook) delegates to replace(), which audits
 CONFNET_HOT bool FabricState::try_replace(u32 id,
                                           GroupRealization group) {
-  expects(contains(id), "replace of unknown group id");
+  const u32 slot = slot_of(id);
+  expects(slot != kNoSlot, "replace of unknown group id");
   expects(group.id == id, "replacement must keep the group id");
   validate_group(net_, group);
-  const GroupRealization& old = slots_[slot_of_[id]].group;
+  const GroupRealization& old = slots_[slot].group;
 
   // The whole replacement realization must avoid the fault mask (not just
   // the gained links): a successful try_ mutation never yields a degraded
@@ -138,10 +147,11 @@ CONFNET_HOT bool FabricState::try_replace(u32 id,
 }
 
 CONFNET_HOT void FabricState::replace(u32 id, GroupRealization group) {
-  expects(contains(id), "replace of unknown group id");
+  const u32 slot = slot_of(id);
+  expects(slot != kNoSlot, "replace of unknown group id");
   expects(group.id == id, "replacement must keep the group id");
   validate_group(net_, group);
-  Entry& entry = slots_[slot_of_[id]];
+  Entry& entry = slots_[slot];
 
   for (u32 m : entry.group.members) owner_[m] = -1;
   for (u32 m : group.members) {
@@ -164,17 +174,15 @@ CONFNET_HOT void FabricState::replace(u32 id, GroupRealization group) {
 }
 
 CONFNET_HOT void FabricState::remove(u32 id) {
-  expects(contains(id), "remove of unknown group id");
-  const u32 slot = slot_of_[id];
+  const auto it = live_at(id);
+  expects(it != live_.end() && it->id == id, "remove of unknown group id");
+  const u32 slot = it->slot;
   Entry& entry = slots_[slot];
   apply_load(entry.group, false);
   for (u32 m : entry.group.members) owner_[m] = -1;
-  slot_of_[id] = kNoSlot;
+  live_.erase(it);
   // static_check: allow(hot-alloc) slot free-list, bounded by peak groups
   free_slots_.push_back(slot);
-  const auto it =
-      std::lower_bound(live_ids_.begin(), live_ids_.end(), id);
-  live_ids_.erase(it);
   CONFNET_AUDIT_HOOK(maybe_periodic_audit());
 }
 
@@ -183,14 +191,14 @@ CONFNET_HOT const std::vector<u32>& FabricState::mark_link_users_dirty(
   dirty_scratch_.clear();
   const u32 users = load_[level][row];  // one channel per group per link
   if (users == 0) return dirty_scratch_;
-  for (u32 id : live_ids_) {
-    Entry& entry = slots_[slot_of_[id]];
+  for (const Live& l : live_) {
+    Entry& entry = slots_[l.slot];
     const auto& rows = entry.group.links[level];
     if (std::binary_search(rows.begin(), rows.end(), row)) {
       entry.dirty = true;
       // static_check: allow(hot-alloc) capacity reused across mutations,
       // bounded by peak groups on one link
-      dirty_scratch_.push_back(id);
+      dirty_scratch_.push_back(l.id);
       if (dirty_scratch_.size() == users) break;
     }
   }
@@ -245,8 +253,8 @@ const std::vector<MemberSet>& FabricState::delivered(u32 id) const {
 }
 
 bool FabricState::delivery_ok() const {
-  for (u32 id : live_ids_) {
-    const Entry& entry = slots_[slot_of_[id]];
+  for (const Live& l : live_) {
+    const Entry& entry = slots_[l.slot];
     if (entry.dirty) propagate(entry);
     // delivered_exact is the plane engine's mask-row equality probe: true
     // iff every output heard exactly the full member set. No per-member
@@ -258,7 +266,7 @@ bool FabricState::delivery_ok() const {
 }
 
 void FabricState::invalidate_signal_caches() {
-  for (u32 id : live_ids_) slots_[slot_of_[id]].dirty = true;
+  for (const Live& l : live_) slots_[l.slot].dirty = true;
 }
 
 u32 FabricState::load_at(u32 level, u32 row) const {
@@ -461,9 +469,9 @@ EvalReport FabricState::report() const {
         report.overflows.push_back(Overflow{level, r, load_[level][r]});
     }
   }
-  report.delivered.reserve(live_ids_.size());
-  for (u32 id : live_ids_) {
-    const Entry& entry = slots_[slot_of_[id]];
+  report.delivered.reserve(live_.size());
+  for (const Live& l : live_) {
+    const Entry& entry = slots_[l.slot];
     if (entry.dirty) propagate(entry);
     report.delivered.push_back(entry.delivered);
     report.fan_in_ops += entry.fan_in_ops;
@@ -482,32 +490,30 @@ void FabricState::cross_check() const {
   std::vector<std::vector<u32>> expected_load(n + 1, std::vector<u32>(N, 0));
   std::vector<int> expected_owner(N, -1);
   u32 expected_overflowing = 0;
-  for (u32 id : live_ids_) {
-    const Entry& entry = slots_[slot_of_[id]];
+  for (const Live& l : live_) {
+    const Entry& entry = slots_[l.slot];
     for (u32 level = 0; level <= n; ++level)
       for (u32 row : entry.group.links[level]) ++expected_load[level][row];
     for (u32 m : entry.group.members) {
       audit::require(expected_owner[m] < 0, kSub,
                      "admitted groups share a member port");
-      expected_owner[m] = static_cast<int>(id);
+      expected_owner[m] = static_cast<int>(l.id);
     }
   }
 
-  // Slot-table coherence: live_ids_ is sorted and duplicate-free, maps to
-  // distinct live slots that name their owner back, free slots are exactly
-  // the remainder, and no stale slot_of_ entry points anywhere.
+  // Slot-table coherence: live_ is strictly ascending by id, maps to
+  // distinct live slots that name their owner back, and free slots are
+  // exactly the remainder.
   audit::require(
-      std::is_sorted(live_ids_.begin(), live_ids_.end()) &&
-          std::adjacent_find(live_ids_.begin(), live_ids_.end()) ==
-              live_ids_.end(),
+      std::adjacent_find(live_.begin(), live_.end(),
+                         [](const Live& a, const Live& b) {
+                           return a.id >= b.id;
+                         }) == live_.end(),
       kSub, "live id list is not sorted and unique");
-  audit::require(live_ids_.size() + free_slots_.size() == slots_.size(), kSub,
+  audit::require(live_.size() + free_slots_.size() == slots_.size(), kSub,
                  "live and free slots do not partition the slot vector");
   std::vector<bool> slot_live(slots_.size(), false);
-  for (u32 id : live_ids_) {
-    audit::require(id < slot_of_.size() && slot_of_[id] != kNoSlot, kSub,
-                   "live id lost its slot mapping");
-    const u32 slot = slot_of_[id];
+  for (const auto& [id, slot] : live_) {
     audit::require(slot < slots_.size() && !slot_live[slot], kSub,
                    "two live ids share a slot");
     slot_live[slot] = true;
@@ -519,11 +525,6 @@ void FabricState::cross_check() const {
   for (u32 slot : free_slots_)
     audit::require(slot < slots_.size() && !slot_live[slot], kSub,
                    "free slot list names a live slot");
-  std::size_t mapped = 0;
-  for (u32 slot : slot_of_)
-    if (slot != kNoSlot) ++mapped;
-  audit::require(mapped == live_ids_.size(), kSub,
-                 "stale id->slot mappings outlive their groups");
   std::vector<u32> expected_max(n + 1, 0);
   for (u32 level = 0; level <= n; ++level) {
     for (u32 row = 0; row < N; ++row) {
@@ -549,12 +550,12 @@ void FabricState::cross_check() const {
   // oracle for both the cached SIMD-plane results, whatever backend is
   // active, and the assembled report().
   const EvalReport actual = report();  // re-propagates every dirty entry
-  audit::require(actual.delivered.size() == live_ids_.size(), kSub,
+  audit::require(actual.delivered.size() == live_.size(), kSub,
                  "group count diverges from the stateless oracle");
   PropagationResult total;
-  for (std::size_t gi = 0; gi < live_ids_.size(); ++gi) {
-    const u32 id = live_ids_[gi];
-    const Entry& entry = slots_[slot_of_[id]];
+  for (std::size_t gi = 0; gi < live_.size(); ++gi) {
+    const u32 id = live_[gi].id;
+    const Entry& entry = slots_[live_[gi].slot];
     CONFNET_AUDIT_HOOK(audit::check_group_realization(net_, entry.group));
     const PropagationResult ref = propagate_reference(id);
     audit::require(entry.delivered.size() == ref.delivered.size() &&

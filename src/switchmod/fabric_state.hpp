@@ -14,9 +14,11 @@
 //   * capacity is per level (a dilation profile), enforced by the try_
 //     mutations before any state changes.
 //   * group bookkeeping is flat: entries live in a dense slot vector with
-//     generation-stamped free-slot recycling, an id->slot table replaces
-//     the old std::map, and a sorted id vector drives ascending-order
-//     iteration — try_add/remove allocate no tree nodes on the hot path.
+//     generation-stamped free-slot recycling, and a sorted (id, slot) list
+//     of the live groups serves both lookup by id (binary search) and
+//     ascending-order iteration — try_add/remove allocate no tree nodes on
+//     the hot path, and memory is bounded by the peak number of live
+//     groups, not by the largest id ever admitted.
 //   * a live fault mask (min::FaultSet) turns link failures and repairs
 //     into runtime events: fail_link/repair_link dirty only the groups on
 //     the touched link, admission refuses realizations over dead windows,
@@ -119,11 +121,9 @@ class FabricState {
   // --- Queries -----------------------------------------------------------
 
   [[nodiscard]] u32 group_count() const noexcept {
-    return static_cast<u32>(live_ids_.size());
+    return static_cast<u32>(live_.size());
   }
-  [[nodiscard]] bool contains(u32 id) const {
-    return id < slot_of_.size() && slot_of_[id] != kNoSlot;
-  }
+  [[nodiscard]] bool contains(u32 id) const { return slot_of(id) != kNoSlot; }
   [[nodiscard]] const GroupRealization& group(u32 id) const;
 
   /// Delivered member sets at group `id`'s outputs (order of its members).
@@ -150,7 +150,7 @@ class FabricState {
   /// Visit every admitted group in ascending id order.
   template <typename Fn>
   void for_each_group(Fn&& fn) const {
-    for (u32 id : live_ids_) fn(slots_[slot_of_[id]].group);
+    for (const Live& l : live_) fn(slots_[l.slot].group);
   }
 
   /// Assemble the same report `Fabric::evaluate` would produce for the
@@ -181,8 +181,14 @@ class FabricState {
  private:
   friend void audit::check_fabric_state(const FabricState& state);
 
-  /// slot_of_ sentinel: group id not admitted.
+  /// slot_of sentinel: group id not admitted.
   static constexpr u32 kNoSlot = 0xffffffffu;
+
+  /// One admitted group: its id and the slot holding its entry.
+  struct Live {
+    u32 id;
+    u32 slot;
+  };
 
   /// Index-resolved traversal plan for one realization. The sweep needs,
   /// per link row, the positions of its predecessors/successors inside the
@@ -240,11 +246,16 @@ class FabricState {
   const std::vector<u32>& mark_link_users_dirty(u32 level, u32 row);
 
   /// Take a slot for a new group: recycle the most recently freed one or
-  /// grow the vectors, bump its generation, and wire up slot_of_.
+  /// grow the vectors, bump its generation, and list it in live_.
   [[nodiscard]] u32 occupy_slot(u32 id);
+  /// First live_ entry whose id is not below `id`.
+  [[nodiscard]] std::vector<Live>::const_iterator live_at(u32 id) const;
+  /// The slot of group `id`, or kNoSlot when it is not admitted.
+  [[nodiscard]] u32 slot_of(u32 id) const;
   [[nodiscard]] const Entry& entry_of(u32 id) const {
-    expects(contains(id), "unknown group id");
-    return slots_[slot_of_[id]];
+    const u32 slot = slot_of(id);
+    expects(slot != kNoSlot, "unknown group id");
+    return slots_[slot];
   }
 
   const min::Network& net_;
@@ -252,15 +263,13 @@ class FabricState {
   bool fan_in_;
   bool fan_out_;
   min::FaultSet faults_;
-  // Flat group tables (see header comment): dense recycled entry slots, an
-  // id->slot map, and the sorted live-id list for ordered iteration.
-  // slot_of_ grows with the largest id ever admitted (4 bytes per id) —
-  // ids come from monotone control-plane counters, so the table is a
-  // straight array rather than a hash.
+  // Flat group tables (see header comment): dense recycled entry slots and
+  // the live groups sorted by id. Ids come from monotone control-plane
+  // counters, so admission appends to live_; both vectors stay as long as
+  // the peak number of live groups however many ids were ever issued.
   std::vector<Entry> slots_;
   std::vector<u32> free_slots_;  // recyclable slot indices (LIFO)
-  std::vector<u32> slot_of_;     // group id -> slot, kNoSlot when absent
-  std::vector<u32> live_ids_;    // admitted ids, ascending
+  std::vector<Live> live_;       // admitted groups, ascending by id
   std::vector<std::uint64_t> slot_gen_;  // occupation generation per slot
   std::vector<std::vector<u32>> load_;  // [level][row]
   std::vector<int> owner_;              // port -> group id, -1 when free

@@ -122,8 +122,13 @@ TEST(ClusterStress, CoordinatorSpansUnderProducerTraffic) {
 
 // Snapshot readers race the coordinator's churn: runtime_snapshot() is the
 // only cluster read that is thread-safe by contract, and it must stay
-// internally consistent while spans open and close.
+// internally consistent while spans open and close. The churn waits for
+// the reader's first snapshot and runs until the reader has taken several
+// more, so the two overlap however fast a cluster op is.
 TEST(ClusterStress, SnapshotReadersRaceCoordinatorChurn) {
+  constexpr int kMinSteps = 400;
+  constexpr u64 kMinSnapshotsDuringChurn = 8;
+
   cl::Cluster c(stress_config(2));
   c.start();
 
@@ -133,13 +138,20 @@ TEST(ClusterStress, SnapshotReadersRaceCoordinatorChurn) {
     while (!done.load(std::memory_order_acquire)) {
       const auto snap = c.runtime_snapshot();
       EXPECT_TRUE(snap.total.consistent());
-      snapshots.fetch_add(1, std::memory_order_relaxed);
+      snapshots.fetch_add(1, std::memory_order_release);
     }
   });
 
+  while (snapshots.load(std::memory_order_acquire) == 0)
+    std::this_thread::yield();
+  const u64 before_churn = snapshots.load(std::memory_order_acquire);
+
   confnet::util::Rng rng(7);
   std::vector<u64> ids;
-  for (int step = 0; step < 400; ++step) {
+  for (int step = 0;
+       step < kMinSteps || snapshots.load(std::memory_order_acquire) <
+                               before_churn + kMinSnapshotsDuringChurn;
+       ++step) {
     if (ids.size() < 8 && rng.chance(0.6)) {
       const auto r =
           c.open({{static_cast<u32>(rng.below(4)),

@@ -125,6 +125,38 @@ TEST_P(EquivalenceSuite, FabricStateMatchesStatelessOracle) {
   }
 }
 
+// Group ids index nothing: sparse, huge and out-of-order ids cost the same
+// as dense ones (the tables are sized by live groups), iteration stays in
+// ascending id order, and lookups miss cleanly between live ids.
+TEST(FabricStateTables, SparseIdsAreLookedUpNotIndexed) {
+  const u32 n = 4;
+  const min::Network net = min::make_network(Kind::kIndirectCube, n);
+  sw::FabricState state(net, sw::FabricConfig{u32{1} << n, true, true});
+  const auto pair_group = [&](u32 id, u32 a, u32 b) {
+    sw::GroupRealization g;
+    g.id = id;
+    g.members = {a, b};
+    g.links = conf::all_pairs_links(Kind::kIndirectCube, n, g.members);
+    return g;
+  };
+  const std::vector<u32> ids = {4'000'000'000u, 7, 2'000'000'000u, 0};
+  for (u32 i = 0; i < ids.size(); ++i)
+    ASSERT_TRUE(state.try_add(pair_group(ids[i], 4 * i, 4 * i + 1)));
+  EXPECT_EQ(state.group_count(), 4u);
+  EXPECT_TRUE(state.contains(2'000'000'000u));
+  EXPECT_FALSE(state.contains(8));
+  EXPECT_FALSE(state.contains(4'000'000'001u));
+  std::vector<u32> order;
+  state.for_each_group(
+      [&](const sw::GroupRealization& g) { order.push_back(g.id); });
+  EXPECT_EQ(order, (std::vector<u32>{0, 7, 2'000'000'000u, 4'000'000'000u}));
+  state.remove(7);
+  EXPECT_FALSE(state.contains(7));
+  EXPECT_EQ(state.group(4'000'000'000u).members, (std::vector<u32>{0, 1}));
+  EXPECT_NO_THROW(state.cross_check());
+  EXPECT_TRUE(state.delivery_ok());
+}
+
 // --- (c) Parallel Monte-Carlo vs serial reference ------------------------
 
 TEST_P(EquivalenceSuite, ParallelMonteCarloByteIdentical) {

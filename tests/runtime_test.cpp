@@ -3,8 +3,9 @@
 // cases (backpressure, bounce-once accounting across retries,
 // drain-on-stop with in-flight batches, post-stop rejection), the
 // lock-lean producer path (pooled completions that recycle their slots,
-// staged bursts with one wake per flush, tiny-queue flushes that must not
-// self-deadlock), cross-shard snapshot consistency, fault commands and
+// staged bursts applied on the caller when they touch one shard and by the
+// workers otherwise, tiny-queue flushes that must not self-deadlock),
+// cross-shard snapshot consistency, fault commands and
 // their conservation law, and the determinism contract (per-shard outcomes
 // depend only on the per-shard command sequence and seed, never on how
 // shards are packed onto worker threads, and equal a serial oracle's).
@@ -297,6 +298,8 @@ TEST(Runtime, StagedBurstFlushesEveryCommandInOrder) {
     if (res.open.session) ++served;
   }
   EXPECT_GE(served, 8u);
+  // Flushing the emptied stage is a no-op.
+  EXPECT_EQ(r.submit_stage(stage), rt::SubmitStatus::kAccepted);
   r.drain();
   EXPECT_EQ(r.snapshot().total.completed, 32u);
 
@@ -312,23 +315,28 @@ TEST(Runtime, StagedBurstFlushesEveryCommandInOrder) {
 }
 
 TEST(Runtime, StagedBurstSurvivesTinyQueues) {
-  // Burst wider than the queue: submit_stage must wake the owning worker
-  // mid-flush and block for space instead of deadlocking against its own
-  // deferred wakeup.
-  rt::RuntimeConfig cfg = small_config(1, 1);
-  cfg.shard.queue_depth = 4;
-  rt::Runtime r(cfg);
-  r.start();
+  // Burst wider than the queue: nothing applies what the flush already
+  // queued before it ends, so submit_stage must start that mid-flush — a
+  // one-shard burst by draining the shard on the spot, a burst over two
+  // shards by waking their worker — and block for space instead of
+  // deadlocking against its own commands.
+  for (u32 shards : {1u, 2u}) {
+    SCOPED_TRACE(shards);
+    rt::RuntimeConfig cfg = small_config(shards, 1);
+    cfg.shard.queue_depth = 4;
+    rt::Runtime r(cfg);
+    r.start();
 
-  rt::CommandStage stage;
-  std::vector<rt::PooledResult> pending;
-  for (int i = 0; i < 64; ++i)
-    pending.push_back(r.stage_call(stage, 0, open_cmd(2)));
-  ASSERT_EQ(r.submit_stage(stage), rt::SubmitStatus::kAccepted);
-  for (auto& p : pending)
-    EXPECT_EQ(p.take().status, rt::CommandStatus::kDone);
-  r.stop();
-  EXPECT_EQ(r.snapshot().total.completed, 64u);
+    rt::CommandStage stage;
+    std::vector<rt::PooledResult> pending;
+    for (u32 i = 0; i < 64; ++i)
+      pending.push_back(r.stage_call(stage, i % shards, open_cmd(2)));
+    ASSERT_EQ(r.submit_stage(stage), rt::SubmitStatus::kAccepted);
+    for (auto& p : pending)
+      EXPECT_EQ(p.take().status, rt::CommandStatus::kDone);
+    r.stop();
+    EXPECT_EQ(r.snapshot().total.completed, 64u);
+  }
 }
 
 TEST(Runtime, StopDrainsInFlightBatchesExactlyOnce) {

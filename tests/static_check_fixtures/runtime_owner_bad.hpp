@@ -24,7 +24,7 @@ class FixtureOwner {
   std::uint64_t misspelled_ = 0;  // runtime-owner: wrker  FINDING: bad tag
   mutable util::Mutex mu_;        // runtime-owner: lock
   std::uint64_t guarded_ CONFNET_GUARDED_BY(mu_) = 0;
-  std::vector<int> confined_;     // runtime-owner: worker
+  std::vector<int> confined_;     // runtime-owner: lease
   // static_check: allow(runtime-owner) fixture shows the suppression path
   std::uint64_t waived_ = 0;
 };

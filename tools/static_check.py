@@ -43,11 +43,12 @@ installed). Enforces the repo-specific rules that the compiler cannot:
                    states its ownership: either CONFNET_GUARDED_BY(<mu>)
                    (provable by -Wthread-safety) or a same-line
                    `// runtime-owner: <tag>` comment naming who may touch
-                   it (worker: thread-confined to the shard's owner
-                   thread; queue: inside the MPSC queue's own lock; lock:
-                   the mutex/condvar itself; immutable: set before
-                   start(); atomic: std::atomic; caller: externally
-                   synchronized). docs/THREADING.md explains the tags.
+                   it (lease: touched only by the thread holding the
+                   shard's execution lease; queue: inside the MPSC
+                   queue's own lock; lock: the mutex/condvar itself;
+                   immutable: set before start(); atomic: std::atomic;
+                   caller: externally synchronized). docs/THREADING.md
+                   explains the tags.
 
   cluster-owner    The same contract for src/cluster headers: the Cluster
                    front object brokers coordinator-side state (trunk
@@ -108,12 +109,12 @@ RULES: dict[str, str] = {
     "runtime-owner": (
         "mutable state in src/runtime headers must be CONFNET_GUARDED_BY a"
         " mutex or carry a `// runtime-owner: <tag>` ownership comment"
-        " (worker|queue|lock|immutable|atomic|caller)"
+        " (lease|queue|lock|immutable|atomic|caller)"
     ),
     "cluster-owner": (
         "mutable state in src/cluster headers must be CONFNET_GUARDED_BY a"
         " mutex or carry a `// cluster-owner: <tag>` ownership comment"
-        " (worker|queue|lock|immutable|atomic|caller)"
+        " (lease|queue|lock|immutable|atomic|caller)"
     ),
 }
 
@@ -226,7 +227,7 @@ DETERMINISM_ROOTS = ("src/sim/", "src/conference/")
 # either a CONFNET_GUARDED_BY annotation the clang thread-safety analysis
 # can prove, or an ownership tag the reviewer can:
 #
-#   // <subsystem>-owner: worker      thread-confined to the shard's owner
+#   // <subsystem>-owner: lease       only the shard's execution-lease holder
 #   // <subsystem>-owner: queue       protected by the MPSC queue's internals
 #   // <subsystem>-owner: lock        a mutex/condvar (itself the protection)
 #   // <subsystem>-owner: immutable   set before start(), never written after
@@ -240,7 +241,7 @@ OWNER_ROOTS = {
     "src/cluster/": "cluster-owner",
 }
 RUNTIME_OWNER_TAGS = {
-    "worker", "queue", "lock", "immutable", "atomic", "caller",
+    "lease", "queue", "lock", "immutable", "atomic", "caller",
 }
 OWNER_TAG_RE = re.compile(r"//\s*(?:runtime|cluster)-owner:\s*(\S+)")
 # A member declaration: type tokens, then an identifier ending in `_`,
